@@ -16,6 +16,8 @@ reproduce that observable with a from-scratch optimizing compiler:
   pass manager with event-level coverage instrumentation;
 * :mod:`repro.compiler.vm` -- an IR interpreter producing the same
   observable behaviour tuple as the reference interpreter;
+* :mod:`repro.compiler.codegen` -- the generated-Python tier that runs
+  outliving the VM's tier-up threshold are restarted in;
 * :mod:`repro.compiler.faults` / :mod:`repro.compiler.versions` -- the
   seeded-bug framework and the catalogue of "compiler versions" used by the
   bug-finding experiments (Tables 3-4, Figure 10).

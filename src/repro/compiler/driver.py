@@ -145,6 +145,13 @@ class PipelineCache:
 #: Sentinel distinguishing "memo not computed" from a computed ``None``.
 _UNSET = object()
 
+#: Closure-VM budget of a run before it is restarted in the generated tier
+#: (:mod:`repro.compiler.codegen`).  Campaign runs stop within ~100 steps or
+#: exhaust the budget, so any value from ~1,000 to ~20,000 selects the same
+#: runs.  The restart is exact because the VM is deterministic and its only
+#: output is the buffered result.
+TIER_UP_STEPS = 4_000
+
 
 class Compiler:
     """A simulated compiler binary: one version at one optimization level."""
@@ -409,10 +416,19 @@ class Compiler:
     # -- execution ----------------------------------------------------------------
 
     def run(self, outcome: CompileOutcome, entry: str = "main") -> ExecutionResult:
-        """Execute the compiled module on the VM."""
+        """Execute the compiled module on the closure VM; a run that reaches
+        :data:`TIER_UP_STEPS` restarts in the generated tier at the full budget."""
         if not outcome.success or outcome.module is None:
             return ExecutionResult(ExecutionStatus.ERROR, detail="compilation did not succeed")
-        return VirtualMachine(outcome.module, max_steps=self.vm_max_steps).run(entry)
+        budget = self.vm_max_steps
+        result = VirtualMachine(outcome.module, max_steps=min(budget, TIER_UP_STEPS)).run(entry)
+        if budget <= TIER_UP_STEPS or result.status is not ExecutionStatus.TIMEOUT:
+            return result
+        # Loaded by the first tier-up: processes whose runs all stop early,
+        # WHILE campaigns among them, never compile the generated tier.
+        from repro.compiler.codegen import GeneratedModule
+
+        return GeneratedModule(outcome.module).run(entry, budget)
 
     def compile_and_run(
         self, source: str, name: str = "<source>", entry: str = "main"

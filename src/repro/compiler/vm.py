@@ -13,6 +13,14 @@ name, operator and integer type resolved at translation time, so the hot
 loop is "tick, call closure" with no per-step dispatch or attribute
 traversal.  A closure returns ``None`` to fall through, a label string to
 jump, or a ``("return", value)`` pair.
+
+This closure VM is the executable specification of IR semantics and the
+tier every run starts in.  ``Compiler.run`` caps its budget at a tier-up
+threshold and restarts only the runs that reach it in generated Python
+(:mod:`repro.compiler.codegen`); the semantics both tiers share (memory
+cells and their checks, pointer arithmetic, the operators the generated
+code does not inline, ``printf`` formatting, the result protocol) live
+once, in the module-level helpers below the VM class.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from repro.compiler.ir import (
     StorePtr,
     Temp,
     UnOp,
+    VariableSlot,
     VarRef,
 )
 from repro.minic.ctypes import INT, IntType
@@ -57,23 +66,6 @@ class VMPointer:
         return self.block_id < 0
 
 
-@dataclass(slots=True)
-class _VMBlock:
-    id: int
-    cells: list
-
-
-@dataclass
-class VMResult:
-    """Raw VM outcome before conversion to an ExecutionResult."""
-
-    exit_code: int | None
-    stdout: str
-    trapped: bool = False
-    detail: str = ""
-    instructions_executed: int = 0
-
-
 class VMTrap(Exception):
     """Raised when the produced code performs an operation the VM cannot honour."""
 
@@ -83,6 +75,10 @@ class _Exit(Exception):
         self.code = code
 
 
+class _StepLimit(Exception):
+    pass
+
+
 @dataclass
 class VirtualMachine:
     """Execute an :class:`~repro.compiler.ir.IRModule` starting from ``main``."""
@@ -90,7 +86,10 @@ class VirtualMachine:
     module: IRModule
     max_steps: int = 500_000
     max_call_depth: int = 200
-    _blocks: dict[int, _VMBlock] = field(default_factory=dict, init=False)
+    # Block id -> cell list.  Blocks are never freed, so a pointer into a
+    # returned call's frame stays dereferenceable (a dangling read, like a
+    # miscompiled binary's).
+    _blocks: dict[int, list] = field(default_factory=dict, init=False)
     _next_block: int = field(default=0, init=False)
     _globals: dict[str, VMPointer] = field(default_factory=dict, init=False)
     _stdout: list[str] = field(default_factory=list, init=False)
@@ -101,41 +100,22 @@ class VirtualMachine:
 
     # -- memory -----------------------------------------------------------------
 
-    def _alloc(self, size: int, fill) -> VMPointer:
-        block = _VMBlock(self._next_block, [fill] * size)
-        self._blocks[block.id] = block
-        self._next_block += 1
-        return VMPointer(block.id, 0)
-
-    def _cell(self, pointer: VMPointer):
-        block = self._blocks.get(pointer.block_id)
-        if block is None or not (0 <= pointer.offset < len(block.cells)):
-            raise VMTrap(f"invalid memory access at {pointer}")
-        return block, pointer.offset
+    def _alloc(self, cells: list) -> VMPointer:
+        block_id = self._next_block
+        self._blocks[block_id] = cells
+        self._next_block = block_id + 1
+        return VMPointer(block_id, 0)
 
     # -- execution ------------------------------------------------------------------
 
     def run(self, entry: str = "main") -> ExecutionResult:
         """Execute the module and return an observable-behaviour result."""
         for name, slot in self.module.globals.items():
-            initial = slot.initial if slot.initial is not None else [0] * slot.size
-            pointer = self._alloc(slot.size, 0)
-            block, _ = self._cell(pointer)
-            for index, value in enumerate(initial[: slot.size]):
-                block.cells[index] = value
-            self._globals[name] = pointer
-        if entry not in self.module.functions:
+            self._globals[name] = self._alloc(_initial_cells(self._next_block, slot))
+        function = self.module.functions.get(entry)
+        if function is None:
             return ExecutionResult(ExecutionStatus.ERROR, detail=f"no function named {entry!r}")
-        try:
-            value = self._call(self.module.functions[entry], [], depth=0)
-            exit_code = int(value) & 0xFF if isinstance(value, int) else 0
-            return ExecutionResult(ExecutionStatus.OK, exit_code=exit_code, stdout=self.stdout)
-        except _Exit as stop:
-            return ExecutionResult(ExecutionStatus.OK, exit_code=stop.code & 0xFF, stdout=self.stdout)
-        except VMTrap as trap:
-            return ExecutionResult(ExecutionStatus.ERROR, stdout=self.stdout, detail=str(trap))
-        except _StepLimit:
-            return ExecutionResult(ExecutionStatus.TIMEOUT, stdout=self.stdout, detail="step budget exhausted")
+        return _run_entry(lambda: self._call(function, [], depth=0), self._stdout)
 
     @property
     def stdout(self) -> str:
@@ -146,10 +126,10 @@ class VirtualMachine:
             raise VMTrap("call depth limit exceeded")
         slots: dict[str, VMPointer] = {}
         for name, slot in function.slots.items():
-            slots[name] = self._alloc(slot.size, 0)
+            slots[name] = self._alloc([0] * slot.size)
         for name, value in zip(function.params, args):
-            block, offset = self._cell(slots[name])
-            block.cells[offset] = value
+            cells, offset = _cell(self._blocks, slots[name])
+            cells[offset] = 0 if value is None else value
 
         temps: dict[str, object] = {}
         label = function.entry
@@ -198,95 +178,143 @@ class VirtualMachine:
             raise VMTrap(f"unknown variable {name!r}")
         return pointer
 
-    @staticmethod
-    def _as_int(value) -> int:
-        if isinstance(value, VMPointer):
-            # Pointer-to-integer conversions happen only in already-UB programs.
-            return value.block_id * 4096 + value.offset
-        return int(value)
 
-    @staticmethod
-    def _wrapped(value, int_type: IntType):
-        if isinstance(value, VMPointer):
-            return value
-        return int_type.wrap(int(value))
+# -- semantics shared with the generated tier (repro.compiler.codegen) --------------
+# Memory, pointer arithmetic, the uncommon operators, printf formatting and
+# the result protocol have one implementation, called by the closures below
+# and by generated code alike.  Cells never hold ``None``: the two writes that
+# could store one (global initializers, parameter binding) store 0, the value
+# a ``None`` cell reads as, so no read checks for it.
 
-    def _binop_values(self, op: str, int_type: IntType, left, right):
-        """Evaluate one binary operation on already-fetched operands."""
-        if op == "ptradd":
-            if isinstance(left, VMPointer):
-                return VMPointer(left.block_id, left.offset + self._as_int(right))
-            raise VMTrap("ptradd on a non-pointer")
-        if isinstance(left, VMPointer) or isinstance(right, VMPointer):
-            return self._pointer_binop(op, left, right)
-        left = int(left)
-        right = int(right)
-        compare = _COMPARISONS.get(op)
-        if compare is not None:
-            return int(compare(left, right))
-        if op in ("/", "%"):
-            if right == 0:
-                raise VMTrap("division by zero")
-            quotient = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                quotient = -quotient
-            remainder = left - quotient * right
-            return int_type.wrap(quotient if op == "/" else remainder)
-        if op in ("<<", ">>"):
-            shift = right % max(1, int_type.bits)
-            return int_type.wrap(left << shift if op == "<<" else left >> shift)
-        if op in ("&", "|", "^"):
-            mask = (1 << int_type.bits) - 1
-            unsigned = {
-                "&": (left & mask) & (right & mask),
-                "|": (left & mask) | (right & mask),
-                "^": (left & mask) ^ (right & mask),
-            }[op]
-            return int_type.wrap(unsigned)
-        result = {"+": left + right, "-": left - right, "*": left * right}.get(op)
-        if result is None:
-            raise VMTrap(f"unknown binary operator {op!r}")
-        return int_type.wrap(result)
 
-    def _pointer_binop(self, op: str, left, right):
-        if op in ("==", "!="):
-            if isinstance(left, int) and left == 0:
-                left = VMPointer(-1, 0)
-            if isinstance(right, int) and right == 0:
-                right = VMPointer(-1, 0)
-            equal = left == right
-            return int(equal) if op == "==" else int(not equal)
-        if op == "+" and isinstance(left, VMPointer):
-            return VMPointer(left.block_id, left.offset + self._as_int(right))
-        if op == "+" and isinstance(right, VMPointer):
-            return VMPointer(right.block_id, right.offset + self._as_int(left))
-        if op == "-" and isinstance(left, VMPointer) and isinstance(right, VMPointer):
-            return left.offset - right.offset
-        if op == "-" and isinstance(left, VMPointer):
-            return VMPointer(left.block_id, left.offset - self._as_int(right))
-        if op in ("<", "<=", ">", ">=") and isinstance(left, VMPointer) and isinstance(right, VMPointer):
-            return int(_COMPARISONS[op](left.offset, right.offset))
-        raise VMTrap(f"unsupported pointer operation {op!r}")
+def _initial_cells(block_id: int, slot: VariableSlot) -> list:
+    """The cell list of a global slot, allocated as block ``block_id``."""
+    cells = [0] * slot.size
+    if not cells:
+        # Initialisation writes from offset 0, so an empty global traps
+        # before the entry function is looked up.
+        raise VMTrap(f"invalid memory access at {VMPointer(block_id, 0)}")
+    if slot.initial is not None:
+        for index, value in enumerate(slot.initial[: slot.size]):
+            cells[index] = 0 if value is None else value
+    return cells
 
-    def _unop_value(self, op: str, int_type: IntType, value):
-        if isinstance(value, VMPointer):
-            if op == "!":
-                return int(value.is_null)
-            raise VMTrap(f"unary {op!r} on a pointer")
-        value = int(value)
-        if op == "-":
-            return int_type.wrap(-value)
-        if op == "~":
-            return int_type.wrap(~value)
+
+def _run_entry(call, stdout: list[str]) -> ExecutionResult:
+    """Run ``call`` (the entry function) and map its outcome to a result."""
+    try:
+        value = call()
+    except _Exit as stop:
+        return ExecutionResult(ExecutionStatus.OK, exit_code=stop.code & 0xFF, stdout="".join(stdout))
+    except VMTrap as trap:
+        return ExecutionResult(ExecutionStatus.ERROR, stdout="".join(stdout), detail=str(trap))
+    except _StepLimit:
+        return ExecutionResult(ExecutionStatus.TIMEOUT, stdout="".join(stdout), detail="step budget exhausted")
+    exit_code = int(value) & 0xFF if isinstance(value, int) else 0
+    return ExecutionResult(ExecutionStatus.OK, exit_code=exit_code, stdout="".join(stdout))
+
+
+def _cell(blocks: dict[int, list], pointer: VMPointer) -> tuple[list, int]:
+    cells = blocks.get(pointer.block_id)
+    if cells is None or not (0 <= pointer.offset < len(cells)):
+        raise VMTrap(f"invalid memory access at {pointer}")
+    return cells, pointer.offset
+
+
+def _as_int(value) -> int:
+    if isinstance(value, VMPointer):
+        # Pointer-to-integer conversions happen only in already-UB programs.
+        return value.block_id * 4096 + value.offset
+    return int(value)
+
+
+def _wrapped(value, int_type: IntType):
+    if isinstance(value, VMPointer):
+        return value
+    return int_type.wrap(int(value))
+
+
+def _truthy(value) -> bool:
+    """Branch condition of a non-``int`` value."""
+    if isinstance(value, VMPointer):
+        return not value.is_null
+    return _as_int(value) != 0
+
+
+def _binop_values(op: str, int_type: IntType, left, right):
+    """Evaluate one binary operation on already-fetched operands."""
+    if op == "ptradd":
+        if isinstance(left, VMPointer):
+            return VMPointer(left.block_id, left.offset + _as_int(right))
+        raise VMTrap("ptradd on a non-pointer")
+    if isinstance(left, VMPointer) or isinstance(right, VMPointer):
+        return _pointer_binop(op, left, right)
+    left = int(left)
+    right = int(right)
+    compare = _COMPARISONS.get(op)
+    if compare is not None:
+        return int(compare(left, right))
+    if op in ("/", "%"):
+        if right == 0:
+            raise VMTrap("division by zero")
+        quotient = abs(left) // abs(right)
+        if (left < 0) != (right < 0):
+            quotient = -quotient
+        remainder = left - quotient * right
+        return int_type.wrap(quotient if op == "/" else remainder)
+    if op in ("<<", ">>"):
+        shift = right % max(1, int_type.bits)
+        return int_type.wrap(left << shift if op == "<<" else left >> shift)
+    if op in ("&", "|", "^"):
+        mask = (1 << int_type.bits) - 1
+        unsigned = {
+            "&": (left & mask) & (right & mask),
+            "|": (left & mask) | (right & mask),
+            "^": (left & mask) ^ (right & mask),
+        }[op]
+        return int_type.wrap(unsigned)
+    result = {"+": left + right, "-": left - right, "*": left * right}.get(op)
+    if result is None:
+        raise VMTrap(f"unknown binary operator {op!r}")
+    return int_type.wrap(result)
+
+
+def _pointer_binop(op: str, left, right):
+    if op in ("==", "!="):
+        if isinstance(left, int) and left == 0:
+            left = VMPointer(-1, 0)
+        if isinstance(right, int) and right == 0:
+            right = VMPointer(-1, 0)
+        equal = left == right
+        return int(equal) if op == "==" else int(not equal)
+    if op == "+" and isinstance(left, VMPointer):
+        return VMPointer(left.block_id, left.offset + _as_int(right))
+    if op == "+" and isinstance(right, VMPointer):
+        return VMPointer(right.block_id, right.offset + _as_int(left))
+    if op == "-" and isinstance(left, VMPointer) and isinstance(right, VMPointer):
+        return left.offset - right.offset
+    if op == "-" and isinstance(left, VMPointer):
+        return VMPointer(left.block_id, left.offset - _as_int(right))
+    if op in ("<", "<=", ">", ">=") and isinstance(left, VMPointer) and isinstance(right, VMPointer):
+        return int(_COMPARISONS[op](left.offset, right.offset))
+    raise VMTrap(f"unsupported pointer operation {op!r}")
+
+
+def _unop_value(op: str, int_type: IntType, value):
+    if isinstance(value, VMPointer):
         if op == "!":
-            return int(value == 0)
-        if op == "cast":
-            return int_type.wrap(value)
-        raise VMTrap(f"unknown unary operator {op!r}")
-
-
-class _StepLimit(Exception):
-    pass
+            return int(value.is_null)
+        raise VMTrap(f"unary {op!r} on a pointer")
+    value = int(value)
+    if op == "-":
+        return int_type.wrap(-value)
+    if op == "~":
+        return int_type.wrap(~value)
+    if op == "!":
+        return int(value == 0)
+    if op == "cast":
+        return int_type.wrap(value)
+    raise VMTrap(f"unknown unary operator {op!r}")
 
 
 _COMPARISONS = {
@@ -328,9 +356,8 @@ def _operand_thunk(operand: Operand):
             pointer = slots.get(name) or vm._globals.get(name)
             if pointer is None:
                 raise VMTrap(f"unknown variable {name!r}")
-            block, offset = vm._cell(pointer)
-            value = block.cells[offset]
-            return 0 if value is None else value
+            cells, offset = _cell(vm._blocks, pointer)
+            return cells[offset]
 
         return read_var
     raise VMTrap(f"unknown operand {operand!r}")
@@ -377,7 +404,7 @@ def _vmc_binop(instr: BinOp):
             if type(left) is int and type(right) is int:
                 temps[dest] = 1 if compare(left, right) else 0
             else:
-                temps[dest] = vm._binop_values(op, int_type, left, right)
+                temps[dest] = _binop_values(op, int_type, left, right)
 
         return run_cmp
     if op in ("+", "-", "*"):
@@ -389,12 +416,12 @@ def _vmc_binop(instr: BinOp):
             if type(left) is int and type(right) is int:
                 temps[dest] = int_type.wrap(arith(left, right))
             else:
-                temps[dest] = vm._binop_values(op, int_type, left, right)
+                temps[dest] = _binop_values(op, int_type, left, right)
 
         return run_arith
 
     def run(vm, slots, temps, depth):
-        temps[dest] = vm._binop_values(
+        temps[dest] = _binop_values(
             op, int_type, left_thunk(vm, slots, temps), right_thunk(vm, slots, temps)
         )
 
@@ -408,7 +435,7 @@ def _vmc_unop(instr: UnOp):
     operand_thunk = _operand_thunk(instr.operand)
 
     def run(vm, slots, temps, depth):
-        temps[dest] = vm._unop_value(op, int_type, operand_thunk(vm, slots, temps))
+        temps[dest] = _unop_value(op, int_type, operand_thunk(vm, slots, temps))
 
     return run
 
@@ -421,9 +448,8 @@ def _vmc_load(instr: Load):
         pointer = slots.get(var) or vm._globals.get(var)
         if pointer is None:
             raise VMTrap(f"unknown variable {var!r}")
-        block, offset = vm._cell(pointer)
-        value = block.cells[offset]
-        temps[dest] = 0 if value is None else value
+        cells, offset = _cell(vm._blocks, pointer)
+        temps[dest] = cells[offset]
 
     return run
 
@@ -437,12 +463,12 @@ def _vmc_store(instr: Store):
         pointer = slots.get(var) or vm._globals.get(var)
         if pointer is None:
             raise VMTrap(f"unknown variable {var!r}")
-        block, offset = vm._cell(pointer)
+        cells, offset = _cell(vm._blocks, pointer)
         value = src(vm, slots, temps)
         if type(value) is int:
-            block.cells[offset] = int_type.wrap(value)
+            cells[offset] = int_type.wrap(value)
         else:
-            block.cells[offset] = vm._wrapped(value, int_type)
+            cells[offset] = _wrapped(value, int_type)
 
     return run
 
@@ -469,10 +495,9 @@ def _vmc_load_elem(instr: LoadElem):
         base = base_thunk(vm, slots, temps)
         if not isinstance(base, VMPointer):
             raise VMTrap("indexing a non-pointer value")
-        index = vm._as_int(index_thunk(vm, slots, temps))
-        block, offset = vm._cell(VMPointer(base.block_id, base.offset + index))
-        value = block.cells[offset]
-        temps[dest] = 0 if value is None else value
+        index = _as_int(index_thunk(vm, slots, temps))
+        cells, offset = _cell(vm._blocks, VMPointer(base.block_id, base.offset + index))
+        temps[dest] = cells[offset]
 
     return run
 
@@ -487,9 +512,9 @@ def _vmc_store_elem(instr: StoreElem):
         base = base_thunk(vm, slots, temps)
         if not isinstance(base, VMPointer):
             raise VMTrap("indexing a non-pointer value")
-        index = vm._as_int(index_thunk(vm, slots, temps))
-        block, offset = vm._cell(VMPointer(base.block_id, base.offset + index))
-        block.cells[offset] = vm._wrapped(src(vm, slots, temps), int_type)
+        index = _as_int(index_thunk(vm, slots, temps))
+        cells, offset = _cell(vm._blocks, VMPointer(base.block_id, base.offset + index))
+        cells[offset] = _wrapped(src(vm, slots, temps), int_type)
 
     return run
 
@@ -502,9 +527,8 @@ def _vmc_load_ptr(instr: LoadPtr):
         pointer = ptr_thunk(vm, slots, temps)
         if not isinstance(pointer, VMPointer):
             raise VMTrap("dereference of a non-pointer value")
-        block, offset = vm._cell(pointer)
-        value = block.cells[offset]
-        temps[dest] = 0 if value is None else value
+        cells, offset = _cell(vm._blocks, pointer)
+        temps[dest] = cells[offset]
 
     return run
 
@@ -518,8 +542,8 @@ def _vmc_store_ptr(instr: StorePtr):
         pointer = ptr_thunk(vm, slots, temps)
         if not isinstance(pointer, VMPointer):
             raise VMTrap("store through a non-pointer value")
-        block, offset = vm._cell(pointer)
-        block.cells[offset] = vm._wrapped(src(vm, slots, temps), int_type)
+        cells, offset = _cell(vm._blocks, pointer)
+        cells[offset] = _wrapped(src(vm, slots, temps), int_type)
 
     return run
 
@@ -550,14 +574,14 @@ def _vmc_call(instr: Call):
 
         def run_exit(vm, slots, temps, depth):
             args = [thunk(vm, slots, temps) for thunk in arg_thunks]
-            raise _Exit(vm._as_int(args[0]) if args else 0)
+            raise _Exit(_as_int(args[0]) if args else 0)
 
         return run_exit
     if name == "putchar":
 
         def run_putchar(vm, slots, temps, depth):
             args = [thunk(vm, slots, temps) for thunk in arg_thunks]
-            value = vm._as_int(args[0]) if args else 0
+            value = _as_int(args[0]) if args else 0
             vm._stdout.append(chr(value & 0xFF))
             if dest is not None:
                 temps[dest] = value
@@ -591,12 +615,7 @@ def _vmc_cjump(instr: CJump):
         condition = cond_thunk(vm, slots, temps)
         if type(condition) is int:
             return true_target if condition != 0 else false_target
-        truthy = (
-            (not condition.is_null)
-            if isinstance(condition, VMPointer)
-            else (vm._as_int(condition) != 0)
-        )
-        return true_target if truthy else false_target
+        return true_target if _truthy(condition) else false_target
 
     return run
 

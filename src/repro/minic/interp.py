@@ -894,6 +894,8 @@ class Interpreter:
         return self._coerce_value(value, target).payload
 
     def _coerce_value(self, value: Value, target: CType) -> Value:
+        if value.payload is _MISSING_RETURN:
+            raise UndefinedBehaviour("use of the value of a function that did not return one")
         if isinstance(target, (PointerType, ArrayType)):
             if isinstance(value.payload, Pointer):
                 return Value(target, value.payload)

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.minic.interp import ExecutionStatus, run_source
+from repro.minic.interp import ExecutionStatus, run_source, run_unit
+from repro.minic.parser import parse
+from repro.minic.symbols import resolve
+from repro.testing.oracle import DifferentialOracle, ObservationKind
 
 
 def status_of(source: str, max_steps: int = 100_000):
@@ -104,6 +107,49 @@ class TestUndefinedBehaviour:
         source = "int main() { unsigned u = 4294967295U; u = u + 1; return u == 0; }"
         result = status_of(source)
         assert result.ok and result.exit_code == 1
+
+
+
+class TestMissingReturnValue:
+    """Using the value of a call that fell off its function's end is UB.
+
+    Conversions of that value (assignment, initialisation, argument
+    passing, casts) must classify it, not crash the interpreter.
+    """
+
+    PRELUDE = "int f(int a) { if (a) return 1; } void g(long b) { } "
+    SHAPES = {
+        "assignment": "int main() { int y; y = f(0); return 0; }",
+        "initialiser": "int main() { int y = f(0); return 0; }",
+        "argument": "int main() { g(f(0)); return 0; }",
+        "cast": "int main() { long z = (long) f(0); return 0; }",
+    }
+    DETAIL = "use of the value of a function that did not return one"
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_run_source(self, shape):
+        result = run_source(self.PRELUDE + self.SHAPES[shape])
+        assert result.status is ExecutionStatus.UNDEFINED
+        assert result.detail == self.DETAIL
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("compiled", [None, {}], ids=["fresh", "shared-cache"])
+    def test_run_unit(self, shape, compiled):
+        unit = parse(self.PRELUDE + self.SHAPES[shape])
+        resolve(unit)
+        for _ in range(2):  # the second run reuses a shared cache's bodies
+            result = run_unit(unit, compiled=compiled)
+            assert result.status is ExecutionStatus.UNDEFINED
+            assert result.detail == self.DETAIL
+
+    def test_returning_the_missing_value_from_main_is_unchanged(self):
+        result = run_source(self.PRELUDE + "int main() { return f(0); }")
+        assert result.ok and result.exit_code == 0
+
+    def test_oracle_skips_instead_of_raising(self):
+        oracle = DifferentialOracle(version="scc-trunk", opt_level=2)
+        observation = oracle.observe(self.PRELUDE + self.SHAPES["argument"])
+        assert observation.kind is ObservationKind.SKIPPED
 
 
 class TestBlockScopeContainment:
