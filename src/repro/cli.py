@@ -265,8 +265,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         reduce_bugs=args.reduce,
         bisect_bugs=args.bisect,
         batch_size=max(0, args.batch_size),
-        persistent_workers=not args.no_persistent_workers,
-        cache_module_results=not args.no_module_cache,
         cache_pipeline_results=not args.no_pipeline_cache,
         shared_memory=not args.no_shared_memory,
         unit_timeout=args.unit_timeout,
@@ -635,18 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate reference results K variants at a time through the "
              "frontend's batched execution tier (0 or 1 disables batching; "
              "observable results are identical either way)",
-    )
-    campaign.add_argument(
-        "--no-persistent-workers", action="store_true",
-        help="ship full source text in every shard payload instead of "
-             "preloading the corpus into the worker pool once (the legacy "
-             "payload protocol)",
-    )
-    campaign.add_argument(
-        "--no-module-cache", action="store_true",
-        help="disable the campaign-scoped VM-result cache keyed by "
-             "optimized-module content hash (each variant keeps a private "
-             "per-variant cache, the legacy behaviour)",
     )
     campaign.add_argument(
         "--no-pipeline-cache", action="store_true",

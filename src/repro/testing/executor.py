@@ -22,7 +22,7 @@ campaign's corpus can be *preloaded* into the workers once via
 :meth:`ProcessPoolExecutor.preload`: sources travel keyed by content sha
 through the pool initializer, and shard payloads then reference them by sha
 instead of re-pickling source text per unit (see
-``harness._slim_shard``/``harness._run_shard_payload``).  Preloading is
+``harness._Payloads``/``harness._run_shard_payload``).  Preloading is
 content-addressed and cumulative, so reusing one executor across campaigns
 only respawns the pool when genuinely new sources appear.  By default the
 preloaded corpus travels through one ``multiprocessing.shared_memory``
@@ -340,7 +340,9 @@ class ProcessPoolExecutor:
         completed: CompletedCallback | None = None,
     ) -> list[_Result]:
         items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
+        # A trivial map runs in-process -- unless sources were preloaded:
+        # slim payloads reference them by sha, which only a worker resolves.
+        if not self._preloaded and (self.jobs <= 1 or len(items) <= 1):
             return SerialExecutor().map(fn, items, completed)
         pool = self._ensure_pool()
         futures: list[concurrent.futures.Future] = []

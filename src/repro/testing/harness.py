@@ -226,16 +226,18 @@ class UnitFailure:
 
 @dataclass
 class ShardOutcome:
-    """What a supervised shard worker returns: per-unit outcomes, not just a
-    merged result.
+    """What a shard worker returns: per-unit outcomes, not just a merged
+    result.
 
     ``result`` merges every unit that *completed* (those were journaled by
-    the worker itself, exactly as in unsupervised mode); ``failed`` lists
-    the positions (into the dispatched unit tuple) whose unit raised or
-    overran its worker-side deadline -- batch-mates of a failing unit still
-    produce results in the same pass, so only genuinely failed units are
-    retried.  Crashes and hard hangs never return an outcome at all; the
-    parent infers those from the broken pool / its watchdog.
+    the worker itself); ``exhausted`` says ``stop_after_bugs`` fired.
+    Under supervision, ``failed`` lists the positions (into the dispatched
+    unit tuple) whose unit raised or overran its worker-side deadline --
+    batch-mates of a failing unit still produce results in the same pass,
+    so only genuinely failed units are retried.  Unsupervised shards raise
+    on the first failure instead, so their ``failed`` is always empty.
+    Crashes and hard hangs never return an outcome at all; the supervisor
+    infers those from the broken pool / its watchdog.
     """
 
     result: CampaignResult
@@ -330,10 +332,11 @@ class CampaignConfig:
     #: Realize variants by AST rebinding (parse each skeleton once, rebind
     #: hole identifiers per variant, compile/interpret the bound AST with one
     #: shared lowering per variant).  When False, every variant is rendered
-    #: to text and re-parsed per compiler configuration -- the legacy
-    #: pipeline, kept as the equivalence baseline.  Vectors that would
-    #: realize use-before-declaration programs always take the legacy path
-    #: so that textual-frontend rejections are reproduced exactly.
+    #: to text and re-parsed per compiler configuration: the last rung of
+    #: the supervisor's degradation ladder (``supervisor._tier_config``), the
+    #: slowest tier a retried unit drops to.  Vectors that would realize
+    #: use-before-declaration programs always take the text path so that
+    #: textual-frontend rejections are reproduced exactly.
     use_ast_rebinding: bool = True
     #: Planning granularity: each file's tested variant indices are cut into
     #: contiguous blocks of at most this many variants, and whole blocks are
@@ -364,25 +367,12 @@ class CampaignConfig:
     #: mini-C a per-skeleton generated-Python body,
     #: :mod:`repro.minic.codegen`).  Only the AST-rebinding path batches;
     #: vectors routed to the legacy text path inside a batch are still
-    #: tested one at a time.  ``0`` or ``1`` disables batching (the scalar
-    #: per-variant path).  Observable results are byte-identical either way
-    #: -- this knob is throughput only, and is excluded from the durable
-    #: store's config fingerprint.
+    #: tested one at a time.  ``0`` or ``1`` disables batching: the scalar
+    #: per-variant path, the first rung of the supervisor's degradation
+    #: ladder (``supervisor._tier_config``) that a retried unit drops to.
+    #: Observable results are byte-identical either way, so the knob is
+    #: excluded from the durable store's config fingerprint.
     batch_size: int = 32
-    #: Ship the corpus to pool workers once, through the pool initializer:
-    #: sources travel content-addressed (keyed by sha), shard payloads carry
-    #: only unit keys + index slices, and the worker pool is kept alive
-    #: across ``map`` calls (and across campaigns sharing one executor).
-    #: When False, every shard payload carries its full source text -- the
-    #: legacy payload protocol.  Throughput only; fingerprint-excluded.
-    persistent_workers: bool = True
-    #: Share one campaign-scoped VM-execution cache across all oracles,
-    #: keyed by optimized-module content hash -- different variants (and
-    #: different compiler configurations) that lower to the same optimized
-    #: module pay for one VM run campaign-wide instead of one per variant.
-    #: When False, each variant keeps its private per-variant cache (the
-    #: legacy behaviour).  Throughput only; fingerprint-excluded.
-    cache_module_results: bool = True
     #: Share one campaign-scoped pass-pipeline outcome cache across all
     #: oracles, keyed by ``(version, opt_level, machine_bits,
     #: pre-optimization lowered-module hash)`` -- re-compiles of the same
@@ -396,8 +386,8 @@ class CampaignConfig:
     #: ``multiprocessing.shared_memory`` segment (workers map the source
     #: text) instead of pickling the corpus dict into every worker's
     #: initializer.  Falls back to the pickle protocol automatically when
-    #: shared memory is unavailable.  Only meaningful with
-    #: ``persistent_workers``.  Throughput only; fingerprint-excluded.
+    #: shared memory is unavailable.  Only meaningful for pooled runs.
+    #: Throughput only; fingerprint-excluded.
     shared_memory: bool = True
     #: Per-unit wall-clock deadline in seconds, enforced on serial and pooled
     #: backends alike (worker-side ``SIGALRM`` alarm, with a parent-side
@@ -591,10 +581,9 @@ class ShardUnit:
     contiguous ``[start, stop)`` range of the canonical enumeration or an
     explicit tuple of sampled ``indices``.
 
-    Under the persistent-pool payload protocol
-    (``CampaignConfig.persistent_workers``), units crossing the process
-    boundary are *slim*: ``source`` is empty and ``source_sha`` names the
-    text in the worker's preloaded corpus.  The worker rehydrates the full
+    Units sent to an executor that can ``preload`` the corpus are *slim*
+    (see :class:`_Payloads`): ``source`` is empty and ``source_sha`` names
+    the text in the worker's preloaded corpus.  The worker rehydrates the full
     source (and clears ``source_sha``) before executing, so everything
     downstream -- including the journal's content-derived unit keys, which
     hash ``source`` -- sees exactly the unit a serial run would.
@@ -653,49 +642,38 @@ class CampaignPlan:
 class Campaign:
     """Run SPE-based differential testing over a corpus of seed programs."""
 
-    #: Bound on the campaign-lifetime reference-result cache (entries, FIFO
-    #: eviction).  Comfortably holds several dense files' variant streams;
-    #: at ~a few hundred bytes per ExecutionResult the worst case is a few
-    #: megabytes.
-    REFERENCE_CACHE_ENTRIES = 4096
+    #: Bound on the campaign-lifetime sanitizer verdict cache (entries, FIFO
+    #: eviction).  A verdict is one bool per (file, vector) key, so the
+    #: worst case is well under a megabyte.
+    SANITIZER_CACHE_ENTRIES = 4096
 
     def __init__(self, config: CampaignConfig | None = None) -> None:
         self.config = config or CampaignConfig()
         self._frontend = get_frontend(self.config.frontend)
         self._oracles = self.config.oracles()
-        # One campaign-scoped VM-result cache shared by every oracle of the
-        # matrix, keyed by optimized-module content hash (see
-        # DifferentialOracle._run_shared): variants and configurations that
-        # lower to the same module pay for one VM run campaign-wide.
-        self._module_cache: dict | None = (
-            {} if self.config.cache_module_results else None
-        )
         # Campaign-scoped pipeline-outcome cache (see PipelineCache in
         # repro.compiler.driver): one cache serves the whole matrix because
         # entries are keyed by each executor's own (version, level, bits).
         self._pipeline_cache: PipelineCache | None = (
             PipelineCache() if self.config.cache_pipeline_results else None
         )
-        # Flat hit/miss counters shared by every oracle (module cache) and
-        # the reference-cache accounting below; snapshotted per shard.
+        # Flat counters shared by every oracle (module cache) and the
+        # reference/sanitizer accounting below; snapshotted per shard.
         self._cache_stats: dict[str, int] = {}
+        # One VM-result cache shared by every oracle of the matrix, keyed by
+        # optimized-module content hash (DifferentialOracle._run_module):
+        # variants and configurations that lower to the same module pay for
+        # one VM run campaign-wide.
+        module_cache: dict = {}
         for oracle in self._oracles:
-            if self._module_cache is not None:
-                oracle.shared_module_cache = self._module_cache
+            oracle.shared_module_cache = module_cache
             oracle.cache_stats = self._cache_stats
             if self._pipeline_cache is not None:
                 oracle.enable_pipeline_cache(self._pipeline_cache)
-        # Reference-interpreter results keyed by (source sha, characteristic
-        # vector) -- the sha scopes vectors to their file, so the cache can
-        # live for the whole campaign (a unit re-visited for another version
-        # column, or a file whose variants arrive in multiple units, never
-        # re-interprets) instead of being cleared per file.  Bounded FIFO.
-        self._reference_cache: dict[
-            tuple[str, CharacteristicVector], ExecutionResult | None
-        ] = {}
-        # Sanitizer verdicts (True = tainted) keyed like the reference cache;
-        # only populated when ``config.sanitize`` is on.  Bounded FIFO with
-        # the same lifetime argument as the reference cache.
+        # Sanitizer verdicts (True = tainted) keyed by (source sha,
+        # characteristic vector) -- the sha scopes vectors to their file, so
+        # the cache can live for the whole campaign.  Only populated when
+        # ``config.sanitize`` is on.  Bounded FIFO.
         self._sanitizer_cache: dict[tuple[str, CharacteristicVector], bool] = {}
         # Fallback identity tokens for skeletons that did not come from
         # source text (run_skeletons): unique per skeleton object.
@@ -849,6 +827,10 @@ class Campaign:
         )
         owned_executor = None
         try:
+            if executor is None:
+                executor = owned_executor = default_executor(
+                    self.config.jobs, shared_memory=self.config.shared_memory
+                )
             if shard_index is not None:
                 if not 0 <= shard_index < count:
                     raise ValueError(
@@ -856,10 +838,6 @@ class Campaign:
                     )
                 return self._run_one_shard(plan, shard_index, executor, store, incremental)
             started = time.perf_counter()
-            if executor is None:
-                executor = owned_executor = default_executor(
-                    self.config.jobs, shared_memory=self.config.shared_memory
-                )
             work, replayed = self._partition(plan.shards, store, incremental)
             results = self._execute(work, executor, store)
             merged = plan.base.merge(replayed)
@@ -988,54 +966,26 @@ class Campaign:
             results = []
             for item in work:
                 campaign = self if item.config is self.config else Campaign(item.config)
-                results.append(campaign._run_shard(item.shard, journal=journal))
+                results.append(campaign._run_shard(item.shard, journal=journal).result)
             return results
         progress = {"shards": 0, "merged": CampaignResult()}
 
-        def on_completed(result: CampaignResult) -> None:
+        def on_completed(outcome: ShardOutcome) -> None:
             # Stream a durable progress checkpoint as each shard result
             # arrives (merged counters so far, in completion order); unit
             # records were already journaled by the worker itself.
             progress["shards"] += 1
-            progress["merged"] = progress["merged"].merge(result)
+            progress["merged"] = progress["merged"].merge(outcome.result)
             store.checkpoint(progress["shards"], progress["merged"])
 
-        return map_streaming(
+        payload = _Payloads(executor, work)
+        outcomes = map_streaming(
             executor,
             _run_shard_payload,
-            self._pool_payloads(work, executor),
+            [payload(item.config, item.shard.index, item.shard.units) for item in work],
             completed=on_completed if store is not None else None,
         )
-
-    def _pool_payloads(
-        self, work: list["_WorkItem"], executor
-    ) -> list[tuple[CampaignConfig, CampaignShard]]:
-        """Payloads for the process-pool boundary, slimmed when possible.
-
-        Under ``persistent_workers`` (and an executor supporting
-        :meth:`~repro.testing.executor.ProcessPoolExecutor.preload`), the
-        corpus crosses the boundary once, content-addressed through the pool
-        initializer, and shard payloads reference sources by sha -- a unit's
-        source text is never re-pickled per shard.  Otherwise payloads carry
-        full source text (the legacy protocol, and the fallback for
-        third-party executors).
-        """
-        preload = getattr(executor, "preload", None)
-        if not self.config.persistent_workers or preload is None:
-            return [(item.config, item.shard) for item in work]
-        corpus: dict[str, str] = {}
-        payloads: list[tuple[CampaignConfig, CampaignShard]] = []
-        for item in work:
-            units = []
-            for unit in item.shard.units:
-                sha = source_sha(unit.source)
-                corpus[sha] = unit.source
-                units.append(replace(unit, source="", source_sha=sha))
-            payloads.append(
-                (item.config, CampaignShard(index=item.shard.index, units=tuple(units)))
-            )
-        preload(corpus)
-        return payloads
+        return [outcome.result for outcome in outcomes]
 
     def _run_one_shard(
         self,
@@ -1054,26 +1004,17 @@ class Campaign:
         """
         shard = plan.shards[shard_index]
         started = time.perf_counter()
-        if executor is None:
-            executor = default_executor(
-                self.config.jobs, shared_memory=self.config.shared_memory
-            )
         work, replayed = self._partition([shard], store, incremental)
-        if isinstance(executor, SerialExecutor):
-            results = self._execute(work, executor, store)
-            folded = [item.fold(result) for item, result in zip(work, results)]
-        else:
+        if not isinstance(executor, SerialExecutor):
             jobs = max(1, getattr(executor, "jobs", self.config.jobs) or 1)
-            items = [
+            work = [
                 replace(item, shard=subshard)
                 for item in work
                 for subshard in _split_shard(item.shard, jobs)
             ]
-            results = self._execute(items, executor, store)
-            folded = [item.fold(result) for item, result in zip(items, results)]
         result = replayed
-        for partial in folded:
-            result = result.merge(partial)
+        for item, partial in zip(work, self._execute(work, executor, store)):
+            result = result.merge(item.fold(partial))
         result.wall_seconds = time.perf_counter() - started
         if shard_index == 0:
             result = plan.base.merge(result)
@@ -1135,7 +1076,9 @@ class Campaign:
         )
         return len(self._shard_bug_keys) + fresh >= limit
 
-    def _run_shard(self, shard: CampaignShard, journal: JournalWriter | None = None) -> CampaignResult:
+    def _run_shard(
+        self, shard: CampaignShard, journal: JournalWriter | None = None
+    ) -> ShardOutcome:
         """Execute one shard, unit by unit.
 
         Each unit accumulates into its own result and is merged into the
@@ -1143,67 +1086,16 @@ class Campaign:
         journals, so a crashed run can resume at unit granularity.  A unit
         cut short by ``stop_after_bugs`` is *not* journaled (its record
         would be incomplete); everything before it is.
-        """
-        result = CampaignResult()
-        started = time.perf_counter()
-        stats_entry = self._stats_snapshot()
-        self._shard_bug_keys = set()
-        units_done = 0
-        for unit in shard.units:
-            unit_result = CampaignResult()
-            try:
-                self._run_unit(unit, unit_result)
-            except Exception as error:
-                # Name the unit that failed (seed + index slice + journal
-                # key), not just the raw traceback -- the operator of an
-                # aborted campaign needs to know which work to exclude.
-                raise UnitExecutionError.for_unit(
-                    unit, FAILURE_EXCEPTION, f"{type(error).__name__}: {error}"
-                ) from error
-            exhausted = self._exhausted(unit_result)
-            result = result.merge(unit_result)
-            self._shard_bug_keys = {
-                report.dedup_key for report in result.bugs.reports
-            }
-            units_done += 1
-            if journal is not None and not exhausted:
-                journal.append_unit(unit, self.config.versions, unit_result)
-                if units_done % max(1, self.config.checkpoint_every) == 0:
-                    journal.append_checkpoint(
-                        units_done,
-                        {
-                            "files_processed": result.files_processed,
-                            "variants_tested": result.variants_tested,
-                            "distinct_bugs": len(result.bugs),
-                        },
-                    )
-            if (
-                self.config.fail_after_units is not None
-                and units_done >= self.config.fail_after_units
-            ):
-                raise CampaignInterrupted(
-                    f"fault injection: interrupted after {units_done} units"
-                )
-            if exhausted:
-                break
-        self._shard_bug_keys = set()
-        result.wall_seconds = time.perf_counter() - started
-        result.cache_stats = self._stats_delta(stats_entry)
-        return result
 
-    def _run_shard_supervised(
-        self, shard: CampaignShard, journal: JournalWriter | None = None
-    ) -> ShardOutcome:
-        """Execute one shard under supervision: failures are *reported*, not raised.
-
-        The supervised twin of :meth:`_run_shard`: each unit runs under the
-        worker-side ``unit_timeout`` alarm, and a unit that raises or overruns
-        is recorded in the outcome's ``failed`` list while its batch-mates
-        keep executing -- one pass produces every completable unit's (still
-        byte-identical) journal record plus a precise failure report for the
-        rest, so the parent retries only the genuinely failed units.
-        ``CampaignInterrupted`` still propagates: fault *injection of the
-        parent/store layer* is outside the unit-failure taxonomy.
+        Every unit runs under the worker-side ``unit_timeout`` alarm (a
+        no-op without a timeout).  What a failing unit does depends on
+        ``config.supervised``: unsupervised, it aborts the shard at once
+        with a :class:`UnitExecutionError` naming the unit, and nothing
+        after it runs or is journaled; supervised, it is recorded in the
+        outcome's ``failed`` list while its batch-mates keep executing, so
+        the supervisor retries only the genuinely failed units.
+        ``CampaignInterrupted`` (``fail_after_units``) is raised between
+        units, outside the unit-failure taxonomy, either way.
         """
         result = CampaignResult()
         started = time.perf_counter()
@@ -1218,23 +1110,15 @@ class Campaign:
             try:
                 with unit_deadline(timeout):
                     self._run_unit(unit, unit_result)
-            except CampaignInterrupted:
-                raise
-            except UnitDeadlineExpired:
-                failed.append(
-                    (
-                        position,
-                        UnitFailure(
-                            unit_key=unit_key_for(unit),
-                            unit_name=unit.name,
-                            span=unit_span(unit),
-                            kind=FAILURE_HANG,
-                            detail=f"unit exceeded its {timeout:g}s deadline",
-                        ),
-                    )
-                )
-                continue
             except Exception as error:
+                if not self.config.supervised:
+                    # Name the unit that failed (seed + index slice + journal
+                    # key), not just the raw traceback -- the operator of an
+                    # aborted campaign needs to know which work to exclude.
+                    raise UnitExecutionError.for_unit(
+                        unit, FAILURE_EXCEPTION, f"{type(error).__name__}: {error}"
+                    ) from error
+                hung = isinstance(error, UnitDeadlineExpired)
                 failed.append(
                     (
                         position,
@@ -1242,8 +1126,12 @@ class Campaign:
                             unit_key=unit_key_for(unit),
                             unit_name=unit.name,
                             span=unit_span(unit),
-                            kind=FAILURE_EXCEPTION,
-                            detail=_format_failure(error),
+                            kind=FAILURE_HANG if hung else FAILURE_EXCEPTION,
+                            detail=(
+                                f"unit exceeded its {timeout:g}s deadline"
+                                if hung
+                                else _format_failure(error)
+                            ),
                         ),
                     )
                 )
@@ -1284,14 +1172,14 @@ class Campaign:
         skeleton = self._skeleton_cache.get(key)
         if skeleton is None:
             skeleton = self._frontend.extract_skeleton(source, name=name)
-            # Identity token for the campaign-lifetime reference cache: the
-            # source sha scopes cached vectors to this file's content.
+            # Identity token for the sanitizer verdict cache: the source sha
+            # scopes cached vectors to this file's content.
             skeleton.metadata.setdefault("source_sha", key[1])
             self._skeleton_cache[key] = skeleton
         return skeleton
 
     def _skeleton_token(self, skeleton: Skeleton) -> str:
-        """The reference-cache identity of a skeleton (source sha, usually).
+        """The sanitizer-cache identity of a skeleton (source sha, usually).
 
         Skeletons built from source get their content sha in
         :meth:`_extract_cached`; caller-provided skeletons
@@ -1363,55 +1251,37 @@ class Campaign:
     def _test_programs_batched(
         self, skeleton: Skeleton, variants, result: CampaignResult
     ) -> None:
-        """Batched reference execution: chunk the variant stream, prefetch
-        reference results for the whole chunk through the frontend's batched
-        tier, then run the unchanged per-variant testing loop (which now
-        hits the reference cache).  Counters, observations, bugs and the
-        exhaustion check are exactly the scalar path's -- batching only
-        changes *when* reference interpretation happens, never what is
-        observed."""
-        token = self._skeleton_token(skeleton)
+        """Batched reference execution: chunk the variant stream, run the
+        chunk's reference results through the frontend's batched tier, then
+        test each variant with its result in hand.  Counters, observations,
+        bugs and the exhaustion check are exactly the scalar path's --
+        batching only changes *when* reference interpretation happens, never
+        what is observed."""
         chunk: list[BoundVariant] = []
         for variant in variants:
             chunk.append(variant)
             if len(chunk) >= self.config.batch_size:
-                if self._test_variant_chunk(skeleton, token, chunk, result):
+                if self._test_variant_chunk(skeleton, chunk, result):
                     return
                 chunk = []
         if chunk:
-            self._test_variant_chunk(skeleton, token, chunk, result)
+            self._test_variant_chunk(skeleton, chunk, result)
 
     def _test_variant_chunk(
-        self,
-        skeleton: Skeleton,
-        token: str,
-        chunk: list[BoundVariant],
-        result: CampaignResult,
+        self, skeleton: Skeleton, chunk: list[BoundVariant], result: CampaignResult
     ) -> bool:
         """Test one chunk; True when ``stop_after_bugs`` fired mid-chunk.
 
-        Only order-clean variants prefetch (the batched tier rebinds, which
-        the legacy text route for use-before-declaration vectors must not
-        do); everything else falls through to the scalar path per variant.
+        Only order-clean variants run through the batched tier (it rebinds,
+        which the text route for use-before-declaration vectors must not
+        do); every other variant computes its reference in place.
         """
-        clean = sum(1 for variant in chunk if variant.order_clean)
-        missing = [
-            variant
-            for variant in chunk
-            if variant.order_clean and (token, variant.vector) not in self._reference_cache
-        ]
-        # Account the whole chunk's order-clean lookups here (the per-variant
-        # loop below would otherwise count every prefetched entry as a hit).
-        self._count_cache("reference_misses", len(missing))
-        self._count_cache("reference_hits", clean - len(missing))
-        if missing:
-            references = self._frontend.run_reference_batch(missing)
-            for variant, reference in zip(missing, references):
-                self._remember_reference((token, variant.vector), reference)
+        clean = [variant for variant in chunk if variant.order_clean]
+        self._count_cache("reference_misses", len(clean))
+        references = iter(self._frontend.run_reference_batch(clean) if clean else ())
         for variant in chunk:
-            if self._test_one_variant(
-                skeleton, variant, True, result, count_reference=not variant.order_clean
-            ):
+            reference = next(references) if variant.order_clean else None
+            if self._test_one_variant(skeleton, variant, True, result, reference):
                 return True
         return False
 
@@ -1421,16 +1291,25 @@ class Campaign:
         variant: BoundVariant,
         rebind: bool,
         result: CampaignResult,
-        count_reference: bool = True,
+        reference: ExecutionResult | None = None,
     ) -> bool:
         """Test a single variant against the whole oracle matrix; True when
         the campaign is exhausted (``stop_after_bugs``).
 
-        ``count_reference=False`` suppresses reference-cache hit/miss
-        accounting for lookups the batched chunk already counted.
+        Order-clean variants of a rebinding campaign take the parse-once
+        path: the skeleton AST is rebound to the variant's vector
+        (O(holes)), the reference interpreter runs on the bound AST, and
+        every oracle compiles from one shared lowering; source text is
+        rendered only if a bug is filed.  Every other variant is rendered
+        and re-parsed -- also the route for vectors that realize
+        use-before-declaration programs, which the textual frontend must be
+        the one to reject.  Either way the reference result is computed
+        once (here, unless a batched chunk passed it in as ``reference``)
+        and shared by the whole matrix.
         """
         result.variants_tested += 1
-        variant_name = f"{skeleton.name}#{variant.index}"
+        name = f"{skeleton.name}#{variant.index}"
+        source = None
         if rebind and variant.order_clean:
             if self.config.sanitize and self._variant_tainted(variant):
                 # Tainted variants never reach the oracle matrix: the whole
@@ -1441,18 +1320,32 @@ class Campaign:
                     result.observations.get("sanitized", 0) + 1
                 )
                 return self._exhausted(result)
-            self._test_variant_ast(variant, variant_name, result, count_reference)
+            if reference is None:
+                self._count_cache("reference_misses")
+                reference = self._frontend.run_reference_variant(variant)
         else:
-            self._test_variant_text(variant, variant_name, result, count_reference)
+            source = variant.source
+            self._count_cache("reference_misses")
+            reference = self._frontend.try_run_reference_source(source)
+        for oracle in self._oracles:
+            if source is None:
+                observation = oracle.observe_variant(
+                    variant, name=name, reference_result=reference
+                )
+            else:
+                observation = oracle.observe(source, name=name, reference_result=reference)
+            result.note_observation(observation)
+            if observation.is_bug:
+                self._file_bug(observation, oracle, result)
         return self._exhausted(result)
 
     def _variant_tainted(self, variant: BoundVariant) -> bool:
         """Sanitizer verdict for one bound variant, memoised per (file, vector).
 
-        Counters mirror the reference cache's: ``sanitizer_hits``/``misses``
-        count verdict-cache lookups, ``sanitizer_clean``/``tainted`` count
-        gate decisions (per variant gated, hits included), all under
-        ``cache_stats`` so they never perturb journal equality.
+        ``sanitizer_hits``/``misses`` count verdict-cache lookups,
+        ``sanitizer_clean``/``tainted`` count gate decisions (per variant
+        gated, hits included), all under ``cache_stats`` so they never
+        perturb journal equality.
         """
         key = (self._skeleton_token(variant.skeleton), variant.vector)
         cache = self._sanitizer_cache
@@ -1463,112 +1356,15 @@ class Campaign:
             self._count_cache("sanitizer_misses")
             tainted = bool(self._frontend.sanitize_variant(variant))
             cache[key] = tainted
-            while len(cache) > self.REFERENCE_CACHE_ENTRIES:
+            while len(cache) > self.SANITIZER_CACHE_ENTRIES:
                 del cache[next(iter(cache))]
         self._count_cache("sanitizer_tainted" if tainted else "sanitizer_clean")
         return tainted
-
-    def _test_variant_ast(
-        self,
-        variant: BoundVariant,
-        name: str,
-        result: CampaignResult,
-        count_reference: bool = True,
-    ) -> None:
-        """Parse-once fast path: one frontend pass per variant, total.
-
-        The skeleton AST is rebound to the variant's vector (O(holes)), the
-        reference interpreter runs on the bound AST, and every oracle of the
-        configuration matrix compiles from one shared lowering.  Source text
-        is rendered only if a bug is filed.
-        """
-        reference_result = self._reference_result_ast(variant, count_reference)
-        for oracle in self._oracles:
-            observation = oracle.observe_variant(
-                variant, name=name, reference_result=reference_result
-            )
-            result.note_observation(observation)
-            if observation.is_bug:
-                self._file_bug(observation, oracle, result)
-
-    def _test_variant_text(
-        self,
-        variant: BoundVariant,
-        name: str,
-        result: CampaignResult,
-        count_reference: bool = True,
-    ) -> None:
-        """Legacy render+reparse path (also the route for vectors that
-        realize use-before-declaration programs, which the textual frontend
-        must be the one to reject)."""
-        source = variant.source
-        reference_result = self._reference_result_text(variant, source, count_reference)
-        for oracle in self._oracles:
-            observation = oracle.observe(
-                source, name=name, reference_result=reference_result
-            )
-            result.note_observation(observation)
-            if observation.is_bug:
-                self._file_bug(observation, oracle, result)
-
-    def _remember_reference(
-        self, key: tuple[str, CharacteristicVector], value: ExecutionResult | None
-    ) -> None:
-        cache = self._reference_cache
-        cache[key] = value
-        while len(cache) > self.REFERENCE_CACHE_ENTRIES:
-            del cache[next(iter(cache))]
 
     def _count_cache(self, key: str, amount: int = 1) -> None:
         if amount:
             stats = self._cache_stats
             stats[key] = stats.get(key, 0) + amount
-
-    def _reference_result_ast(
-        self, variant: BoundVariant, count: bool = True
-    ) -> ExecutionResult:
-        """Reference-interpret the bound AST once per variant.
-
-        Keyed by (source sha, vector) in the campaign-lifetime cache -- the
-        batched prefetch (:meth:`_test_variant_chunk`) populates the same
-        entries, so a batched run's per-variant loop is all cache hits.
-        Delegates to the frontend, which may memoise per-skeleton work
-        across the file's variant stream (mini-C shares one closure-compiled
-        translation of the function bodies).
-        """
-        key = (self._skeleton_token(variant.skeleton), variant.vector)
-        if key in self._reference_cache:
-            if count:
-                self._count_cache("reference_hits")
-            return self._reference_cache[key]
-        if count:
-            self._count_cache("reference_misses")
-        value = self._frontend.run_reference_variant(variant)
-        self._remember_reference(key, value)
-        return value
-
-    def _reference_result_text(
-        self, variant: BoundVariant, source: str, count: bool = True
-    ) -> ExecutionResult | None:
-        """Run the reference interpreter once per variant, keyed by
-        (source sha, vector).
-
-        Shared by all oracles of the configuration matrix.  The vector
-        uniquely identifies the variant's realized source within a file and
-        the sha scopes it to the file, so the key is equivalent to the
-        historical sha256-of-rendered-source key without hashing the full
-        program text per variant.
-        """
-        key = (self._skeleton_token(variant.skeleton), variant.vector)
-        if key in self._reference_cache:
-            if count:
-                self._count_cache("reference_hits")
-            return self._reference_cache[key]
-        if count:
-            self._count_cache("reference_misses")
-        value = self._frontend.try_run_reference_source(source)
-        self._remember_reference(key, value)
-        return value
 
     def _file_bug(
         self, observation: Observation, oracle: DifferentialOracle, result: CampaignResult
@@ -1653,6 +1449,39 @@ class _WorkItem:
         )
 
 
+class _Payloads:
+    """Builds the payloads :func:`_run_shard_payload` receives across a pool.
+
+    An executor with ``preload`` gets the whole work's corpus once, keyed by
+    content sha, when this is constructed; every payload it then builds
+    carries *slim* units (``source`` empty, ``source_sha`` set), which the
+    worker rehydrates before executing.  A ``map``-only executor -- the
+    documented backend contract -- gets units with their full source text.
+    """
+
+    def __init__(self, executor, work: list[_WorkItem]) -> None:
+        preload = getattr(executor, "preload", None)
+        self.slim = preload is not None
+        if preload is not None:
+            preload(
+                {
+                    source_sha(unit.source): unit.source
+                    for item in work
+                    for unit in item.shard.units
+                }
+            )
+
+    def __call__(
+        self, config: CampaignConfig, index: int, units: tuple[ShardUnit, ...]
+    ) -> tuple[CampaignConfig, CampaignShard]:
+        if self.slim:
+            units = tuple(
+                replace(unit, source="", source_sha=source_sha(unit.source))
+                for unit in units
+            )
+        return config, CampaignShard(index=index, units=units)
+
+
 def _split_shard(shard: CampaignShard, parts: int) -> list[CampaignShard]:
     """Split one shard into ``parts`` disjoint sub-shards covering it exactly.
 
@@ -1731,13 +1560,15 @@ def _rehydrate_shard(shard: CampaignShard) -> CampaignShard:
     )
 
 
-def _run_shard_payload(payload: tuple[CampaignConfig, CampaignShard]) -> CampaignResult:
+def _run_shard_payload(payload: tuple[CampaignConfig, CampaignShard]) -> ShardOutcome:
     """Module-level shard worker (must be picklable for the process pool).
 
     When the config carries a ``state_dir``, the worker journals each
     completed unit itself (the journal supports concurrent line-atomic
     appenders), so unit outcomes are durable even if the worker, the pool or
-    the parent dies before the shard result is returned.
+    the parent dies before the shard result is returned.  Returns a
+    :class:`ShardOutcome`, so supervised per-unit failures cross the pool
+    as data.
     """
     config, shard = payload
     shard = _rehydrate_shard(shard)
@@ -1749,26 +1580,6 @@ def _run_shard_payload(payload: tuple[CampaignConfig, CampaignShard]) -> Campaig
         )
     try:
         return Campaign(config)._run_shard(shard, journal=journal)
-    finally:
-        if journal is not None:
-            journal.close()
-
-
-def _run_shard_supervised_payload(
-    payload: tuple[CampaignConfig, CampaignShard]
-) -> ShardOutcome:
-    """Supervised twin of :func:`_run_shard_payload`: returns a
-    :class:`ShardOutcome` so per-unit failures cross the pool as data."""
-    config, shard = payload
-    shard = _rehydrate_shard(shard)
-    journal = None
-    if config.state_dir is not None:
-        journal = JournalWriter(
-            Path(config.state_dir) / CampaignStore.JOURNAL_NAME,
-            fsync=config.fsync_journal,
-        )
-    try:
-        return Campaign(config)._run_shard_supervised(shard, journal=journal)
     finally:
         if journal is not None:
             journal.close()

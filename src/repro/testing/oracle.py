@@ -90,10 +90,10 @@ class DifferentialOracle:
             executors and the reference interpreter.
         shared_module_cache: an optional campaign-scoped VM-result cache,
             shared by every oracle of a configuration matrix and keyed by
-            optimized-module *content* (sha) rather than per-variant
-            identity -- so any two compilations in the whole campaign that
-            produce the same module at the same budget share one VM run.
-            ``None`` (the default) keeps the legacy per-variant cache.
+            optimized-module *content* (sha) -- so any two compilations in
+            the whole campaign that produce the same module at the same
+            budget share one VM run.  ``None`` (the default, for standalone
+            oracles) runs every module.
     """
 
     version: str = "scc-trunk"
@@ -177,7 +177,6 @@ class DifferentialOracle:
             reference_run=lambda: self._frontend.run_reference_source(
                 source, max_steps=self.interp_max_steps
             ),
-            execute=lambda: self._run_module(outcome),
         )
 
     def observe_variant(
@@ -205,39 +204,19 @@ class DifferentialOracle:
             reference_run=lambda: self._frontend.run_reference_variant(
                 variant, max_steps=self.interp_max_steps
             ),
-            execute=lambda: self._run_shared(outcome, variant),
         )
-
-    def _run_shared(self, outcome: CompileOutcome, variant: BoundVariant) -> ExecutionResult:
-        """Run the produced code, sharing results for identical modules.
-
-        Different configurations of the matrix frequently produce
-        bit-identical optimized modules for the same variant (always at -O0,
-        and at higher levels whenever no version-specific fault perturbed a
-        pass).  The VM is deterministic in the module text and step budget,
-        so such runs are executed once and shared via the variant's cache --
-        or, when the campaign wires up a :attr:`shared_module_cache`,
-        shared campaign-wide by module content hash, which additionally
-        dedups *across variants*: many characteristic vectors of one
-        skeleton lower to the same optimized module.
-        """
-        if self.shared_module_cache is not None:
-            return self._run_module(outcome)
-        cache = variant.cache.setdefault("vm_results", {})
-        key = (self._compiler.vm_max_steps, str(outcome.module))
-        result = cache.get(key)
-        if result is None:
-            result = self._compiler.run(outcome)
-            cache[key] = result
-        return result
 
     def _run_module(self, outcome: CompileOutcome) -> ExecutionResult:
         """Run the produced code through the shared module cache when wired.
 
-        The VM is deterministic in (module text, step budget), so caching by
-        content hash is observably identical to executing -- the text path
-        (:meth:`observe`) routes through here too, so legacy render+reparse
-        campaigns dedup identical modules the same way.
+        Different configurations of the matrix frequently produce
+        bit-identical optimized modules for the same variant (always at -O0,
+        and at higher levels whenever no version-specific fault perturbed a
+        pass), and many characteristic vectors of one skeleton lower to the
+        same optimized module.  The VM is deterministic in (module text,
+        step budget), so caching by content hash is observably identical to
+        executing; both the variant path and the text path route through
+        here.  Without a :attr:`shared_module_cache` every module runs.
         """
         shared = self.shared_module_cache
         if shared is None:
@@ -273,15 +252,12 @@ class DifferentialOracle:
         bug_program: Callable[[], str],
         reference_compile: Callable[[], CompileOutcome],
         reference_run: Callable[[], ExecutionResult],
-        execute: Callable[[], ExecutionResult],
     ) -> Observation:
         """Turn a compile outcome into an observation (common to both paths).
 
         ``program`` is attached to non-bug observations; ``bug_program`` is
         invoked only when the observation files a bug, which is what lets the
         AST path defer rendering until a bug actually needs text.
-        ``execute`` produces the compiled code's behaviour (the variant path
-        shares VM results between configurations with identical modules).
         """
         if outcome.crashed:
             return Observation(
@@ -338,7 +314,7 @@ class DifferentialOracle:
         if performance is not None:
             return performance
 
-        compiled_result = execute()
+        compiled_result = self._run_module(outcome)
         if compiled_result.status is not ExecutionStatus.OK:
             return Observation(
                 kind=ObservationKind.WRONG_CODE,

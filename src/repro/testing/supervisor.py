@@ -9,11 +9,11 @@ can be killed and respawned mid-run.
 
 Failure taxonomy and recovery (see ``docs/ARCHITECTURE.md`` section 9):
 
-* **exception** -- a unit raised in the worker.  The supervised shard runner
-  (:meth:`~repro.testing.harness.Campaign._run_shard_supervised`) catches it
-  *per unit* and keeps going, so one pass yields every batch-mate's result
-  plus a precise :class:`~repro.testing.harness.UnitFailure`; no bisection
-  is ever needed.
+* **exception** -- a unit raised in the worker.  Under supervision the
+  shard runner (:meth:`~repro.testing.harness.Campaign._run_shard`) catches
+  it *per unit* and keeps going, so one pass yields every batch-mate's
+  result plus a precise :class:`~repro.testing.harness.UnitFailure`; no
+  bisection is ever needed.
 * **hang (soft)** -- a unit overran ``unit_timeout`` but the worker-side
   ``SIGALRM`` could interrupt it.  Reported exactly like an exception.
 * **hang (hard)** -- the worker is stuck where no signal lands (C code,
@@ -59,7 +59,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
-from repro.store import QuarantineRecord, source_sha, unit_key_for
+from repro.store import QuarantineRecord, unit_key_for
 from repro.testing.executor import SerialExecutor, _cancel_outstanding
 from repro.testing.harness import (
     Campaign,
@@ -71,7 +71,8 @@ from repro.testing.harness import (
     ShardOutcome,
     ShardUnit,
     UnitExecutionError,
-    _run_shard_supervised_payload,
+    _Payloads,
+    _run_shard_payload,
 )
 
 
@@ -142,7 +143,7 @@ class CampaignSupervisor:
         self.attempts: dict[str, int] = {}
         self.exhausted_items: set[int] = set()
         self._in_flight: dict[Future, _InFlight] = {}
-        self._slim = False
+        self._payloads: _Payloads | None = None
         self._completed = 0
         self._progress = CampaignResult()
 
@@ -156,7 +157,7 @@ class CampaignSupervisor:
         ):
             self._run_inline()
         else:
-            self._preload()
+            self._payloads = _Payloads(self.executor, self.work)
             self._run_pooled()
         return self.results
 
@@ -285,32 +286,16 @@ class CampaignSupervisor:
             else:
                 campaign = Campaign(config)
             shard = CampaignShard(index=item.shard.index, units=task.units)
-            outcome = campaign._run_shard_supervised(shard, journal=journal)
+            outcome = campaign._run_shard(shard, journal=journal)
             self._fold_outcome(task, outcome)
 
     # -- pooled ------------------------------------------------------------
 
-    def _preload(self) -> None:
-        preload = getattr(self.executor, "preload", None)
-        if not self.config.persistent_workers or preload is None:
-            return
-        corpus: dict[str, str] = {}
-        for item in self.work:
-            for unit in item.shard.units:
-                corpus[source_sha(unit.source)] = unit.source
-        preload(corpus)
-        self._slim = True
-
     def _payload(self, task: _Task):
         item = self.work[task.item_index]
-        config = _tier_config(item.config, task.attempt)
-        units = task.units
-        if self._slim:
-            units = tuple(
-                replace(unit, source="", source_sha=source_sha(unit.source))
-                for unit in units
-            )
-        return (config, CampaignShard(index=item.shard.index, units=units))
+        return self._payloads(
+            _tier_config(item.config, task.attempt), item.shard.index, task.units
+        )
 
     def _deadline_for(self, task: _Task, now: float) -> float | None:
         if self.config.unit_timeout is None:
@@ -336,7 +321,7 @@ class CampaignSupervisor:
                     if task is None:
                         break
                     future = self.executor.submit(
-                        _run_shard_supervised_payload, self._payload(task)
+                        _run_shard_payload, self._payload(task)
                     )
                     in_flight[future] = _InFlight(task, self._deadline_for(task, now))
                 if not in_flight:

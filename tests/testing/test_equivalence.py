@@ -14,6 +14,7 @@ import pytest
 from repro.compiler.pipeline import OptimizationLevel
 from repro.corpus.seeds import paper_seed_programs
 from repro.core.spe import EnumerationBudget
+from repro.testing.executor import ProcessPoolExecutor
 from repro.testing.harness import Campaign, CampaignConfig
 
 
@@ -49,6 +50,30 @@ def bug_fingerprints(result) -> list[tuple]:
         )
         for report in result.bugs.reports
     )
+
+
+class MapOnlyPool:
+    """A backend with ``map`` alone and no ``preload`` -- the documented
+    third-party executor contract -- so the harness ships every shard
+    payload with its full source text ("fat" payloads)."""
+
+    def __init__(self, jobs: int) -> None:
+        self._pool = ProcessPoolExecutor(jobs)
+
+    def map(self, fn, items):
+        return self._pool.map(fn, items)
+
+    def close(self) -> None:
+        self._pool.close()
+
+
+def run_fat(campaign: Campaign, corpus, **kwargs):
+    """``campaign.run_sources`` on a two-worker map-only backend."""
+    pool = MapOnlyPool(2)
+    try:
+        return campaign.run_sources(corpus, executor=pool, **kwargs)
+    finally:
+        pool.close()
 
 
 def result_fingerprint(result) -> tuple:
@@ -111,11 +136,6 @@ class TestBatchedEquivalence:
         scalar = Campaign(config(True, batch_size=0)).run_sources(corpus)
         assert result_fingerprint(batched) == result_fingerprint(scalar)
 
-    def test_module_cache_changes_nothing(self, corpus):
-        cached = Campaign(config(True, cache_module_results=True)).run_sources(corpus)
-        uncached = Campaign(config(True, cache_module_results=False)).run_sources(corpus)
-        assert result_fingerprint(cached) == result_fingerprint(uncached)
-
     def test_pipeline_cache_changes_nothing(self, corpus):
         # PR 8: replaying recorded pass-pipeline outcomes (module, triggered
         # faults, crashes) must be observationally invisible.
@@ -138,12 +158,8 @@ class TestBatchedEquivalence:
 
     def test_persistent_pool_identical_to_serial(self, corpus):
         serial = Campaign(config(True)).run_sources(corpus)
-        pooled = Campaign(config(True, jobs=2, persistent_workers=True)).run_sources(
-            corpus, shard_count=4
-        )
-        fat_payload = Campaign(
-            config(True, jobs=2, persistent_workers=False)
-        ).run_sources(corpus, shard_count=4)
+        pooled = Campaign(config(True, jobs=2)).run_sources(corpus, shard_count=4)
+        fat_payload = run_fat(Campaign(config(True, jobs=2)), corpus, shard_count=4)
         assert result_fingerprint(pooled) == result_fingerprint(serial)
         assert result_fingerprint(fat_payload) == result_fingerprint(serial)
 
@@ -172,28 +188,23 @@ class TestBatchedEquivalence:
             ("batched", dict(batch_size=32)),
             ("scalar", dict(batch_size=0)),
             ("legacy-pipeline", dict(use_ast_rebinding=False)),
-            # PR 8: pooled-slim rides the shared-memory corpus protocol by
-            # default; pooled-pickle pins the legacy initializer protocol and
-            # pipeline-cache-off pins the uncached compile path.
-            ("pooled-slim-shm", dict(batch_size=32, jobs=2, persistent_workers=True)),
-            (
-                "pooled-pickle",
-                dict(
-                    batch_size=32,
-                    jobs=2,
-                    persistent_workers=True,
-                    shared_memory=False,
-                ),
-            ),
-            ("pooled-fat", dict(batch_size=32, jobs=2, persistent_workers=False)),
+            # pooled-slim rides the shared-memory corpus protocol by
+            # default; pooled-pickle pins the legacy initializer protocol,
+            # pooled-fat a map-only backend's full-source payloads, and
+            # pipeline-cache-off the uncached compile path.
+            ("pooled-slim-shm", dict(batch_size=32, jobs=2)),
+            ("pooled-pickle", dict(batch_size=32, jobs=2, shared_memory=False)),
+            ("pooled-fat", dict(batch_size=32, jobs=2)),
             ("pipeline-cache-off", dict(batch_size=32, cache_pipeline_results=False)),
         ]
         journals = []
         for label, overrides in runs:
             state_dir = tmp_path / label
-            Campaign(config(True, state_dir=str(state_dir), **overrides)).run_sources(
-                corpus, shard_count=2
-            )
+            campaign = Campaign(config(True, state_dir=str(state_dir), **overrides))
+            if label == "pooled-fat":
+                run_fat(campaign, corpus, shard_count=2)
+            else:
+                campaign.run_sources(corpus, shard_count=2)
             journals.append((label, unit_lines(state_dir)))
         baseline_label, baseline = journals[0]
         assert baseline, "journal must contain unit records"
@@ -220,7 +231,7 @@ class TestBatchedEquivalence:
             ("vectorized", dict(batch_size=32)),
             ("scalar", dict(batch_size=0)),
             ("legacy-pipeline", dict(use_ast_rebinding=False)),
-            ("pooled-shm", dict(batch_size=32, jobs=2, persistent_workers=True)),
+            ("pooled-shm", dict(batch_size=32, jobs=2)),
         ]
         journals = []
         for label, overrides in runs:
@@ -302,7 +313,7 @@ class TestBatchedEquivalence:
         runs = [
             ("serial", dict()),
             ("sharded", dict(jobs=2)),
-            ("pooled", dict(batch_size=32, jobs=2, persistent_workers=True)),
+            ("pooled", dict(batch_size=32, jobs=2)),
         ]
         listings = []
         for label, overrides in runs:

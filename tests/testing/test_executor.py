@@ -1,5 +1,6 @@
 """Tests for the sharded campaign pipeline and its execution backends."""
 
+import multiprocessing
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -165,6 +166,8 @@ class TestPersistentPool:
         with ProcessPoolExecutor(jobs=2) as pool:
             pool.preload(corpus)
             assert pool.map(_resolve_preloaded, shas) == [corpus[sha] for sha in shas]
+            # A one-item map goes to a worker too: only a worker resolves a sha.
+            assert pool.map(_resolve_preloaded, shas[:1]) == [corpus[shas[0]]]
 
     def test_preload_is_cumulative_and_idempotent(self):
         first = {source_sha("alpha"): "alpha", source_sha("beta"): "beta"}
@@ -395,12 +398,27 @@ class TestShardedCampaign:
             Campaign(small_config()).run_sources(SEEDS, shard_count=2, shard_index=i)
             for i in range(2)
         ]
+        workers_before = set(multiprocessing.active_children())
         parallel_parts = [
             Campaign(small_config(jobs=3)).run_sources(SEEDS, shard_count=2, shard_index=i)
             for i in range(2)
         ]
+        # The pool the run created for itself is shut down before it returns.
+        assert set(multiprocessing.active_children()) <= workers_before
         for serial, parallel in zip(serial_parts, parallel_parts):
             assert serial.variants_tested == parallel.variants_tested
             assert serial.files_processed == parallel.files_processed
             assert serial.observations == parallel.observations
             assert bug_keys(serial) == bug_keys(parallel)
+
+    def test_single_shard_on_a_pool_matches_serial(self):
+        # One work item on a pool -- e.g. a resumed run with one shard left --
+        # ships a slim payload that only a worker can rehydrate.
+        serial = Campaign(small_config()).run_sources(SEEDS)
+        with ProcessPoolExecutor(jobs=2) as pool:
+            pooled = Campaign(small_config(jobs=2)).run_sources(
+                SEEDS, shard_count=1, executor=pool
+            )
+        assert pooled.variants_tested == serial.variants_tested
+        assert pooled.observations == serial.observations
+        assert bug_keys(pooled) == bug_keys(serial)

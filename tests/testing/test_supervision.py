@@ -155,10 +155,10 @@ def test_injected_exception_quarantined_batchmates_intact(tmp_path, backend):
     assert list(load_quarantine_records(chaos_state / "journal.jsonl")) == [record.key]
 
 
-def test_exception_abort_names_poison_unit_legacy_path():
+def test_exception_abort_names_poison_unit_legacy_path(tmp_path):
     """Unsupervised (fail-fast) runs wrap worker failures with unit context."""
     corpus = corpus_for("minic")
-    config = config_for("minic", chaos=ChaosSpec(raise_at=(1,)))
+    config = config_for("minic", chaos=ChaosSpec(raise_at=(1,)), state_dir=str(tmp_path))
     assert not config.supervised
     with pytest.raises(UnitExecutionError) as excinfo:
         Campaign(config).run_sources(corpus)
@@ -167,6 +167,14 @@ def test_exception_abort_names_poison_unit_legacy_path():
     assert error.unit_key
     assert error.span in str(error)
     assert "ChaosError" in str(error)
+    # Fail-fast: the unit before the poison one is journaled, and nothing
+    # after the poison unit ran.
+    plan = Campaign(config_for("minic")).plan(corpus)
+    first = plan.shards[0].units[0]
+    assert first.ordinal == 0
+    assert [json.loads(line)["key"] for line in unit_lines(tmp_path)] == [
+        unit_key_for(first)
+    ]
 
 
 def test_exception_abort_supervised_raises_after_retries():
