@@ -145,11 +145,14 @@ class PipelineCache:
 #: Sentinel distinguishing "memo not computed" from a computed ``None``.
 _UNSET = object()
 
-#: Closure-VM budget of a run before it is restarted in the generated tier
-#: (:mod:`repro.compiler.codegen`).  Campaign runs stop within ~100 steps or
-#: exhaust the budget, so any value from ~1,000 to ~20,000 selects the same
-#: runs.  The restart is exact because the VM is deterministic and its only
-#: output is the buffered result.
+#: Budget of a run of produced code on its interpreting tier before it is
+#: restarted in generated Python: the closure VM's here
+#: (:mod:`repro.compiler.codegen`), the WHILE interpreter's in
+#: :meth:`repro.lang.compile.WhileCompiler.run` (:mod:`repro.lang.codegen`).
+#: Campaign runs of both languages stop within ~100 steps or exhaust the
+#: budget, so any value from ~1,000 to ~20,000 selects the same runs.  The
+#: restart is exact because both interpreting tiers are deterministic and a
+#: run's only output is its result.
 TIER_UP_STEPS = 4_000
 
 

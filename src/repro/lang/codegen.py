@@ -275,7 +275,7 @@ class WhileSkeletonRunner:
         return results
 
 
-def _compile_runner(source: str, filename: str) -> WhileSkeletonRunner:
+def _compile_runner(source: str, filename: str) -> WhileSkeletonRunner | None:
     namespace = {
         "_TO": _Timeout,
         "_div": _div,
@@ -285,7 +285,11 @@ def _compile_runner(source: str, filename: str) -> WhileSkeletonRunner:
         "_TIMEOUT": ExecutionStatus.TIMEOUT,
         "_ERROR": ExecutionStatus.ERROR,
     }
-    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+    try:
+        code = compile(source, filename, "exec")
+    except SyntaxError:  # loops nested over 20 deep: "too many statically nested blocks"
+        return None
+    exec(code, namespace)  # noqa: S102
     exec(compile(_BATCH_SOURCE, filename + "-batch", "exec"), namespace)  # noqa: S102
     return WhileSkeletonRunner(
         namespace["_skeleton_main"], batch=namespace["_skeleton_batch"]
@@ -293,7 +297,7 @@ def _compile_runner(source: str, filename: str) -> WhileSkeletonRunner:
 
 
 def compile_skeleton_runner(program: WhileNode, identifiers: Sequence[Var]) -> WhileSkeletonRunner | None:
-    """Translate one skeleton program; ``None`` when outside the subset."""
+    """Translate one skeleton program; ``None`` when outside the subset or too deep."""
     hole_of = {id(node): index for index, node in enumerate(identifiers)}
     try:
         source = _Emitter(hole_of).translate(program)
@@ -305,11 +309,13 @@ def compile_skeleton_runner(program: WhileNode, identifiers: Sequence[Var]) -> W
 def compile_program_runner(program: WhileNode) -> WhileSkeletonRunner | None:
     """Translate one concrete (hole-free) program; names become literals.
 
-    This is the oracle-side twin of :func:`compile_skeleton_runner`: the
-    compiler under test executes its *optimized output* through the same
-    generated-code tier the reference uses for skeletons, under the same
-    exactness contract with the interpreter.  Call ``run(())`` -- the
-    vector argument is ignored.
+    This is the oracle-side twin of :func:`compile_skeleton_runner`, under
+    the same exactness contract with the interpreter.
+    :meth:`repro.lang.compile.WhileCompiler.run` calls it only for an
+    optimized program whose run outlived
+    :data:`~repro.compiler.driver.TIER_UP_STEPS` on the interpreter.  Call
+    ``run(())`` -- the vector argument is ignored.  ``None`` when the
+    program is outside the subset or nests too deep for CPython.
     """
     try:
         source = _Emitter(None).translate(program)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.compiler.driver import CompileOutcome, PipelineCache, PipelineRecord
+from repro.compiler.driver import TIER_UP_STEPS, CompileOutcome, PipelineCache, PipelineRecord
 from repro.compiler.errors import CompilationError, InternalCompilerError
 from repro.compiler.faults import Fault, FaultKind, FaultSet
 from repro.compiler.pipeline import OptimizationLevel
@@ -128,14 +128,6 @@ _BLOWUP_RERUNS = 120
 
 #: Sentinel distinguishing "memo not computed" from a computed ``None``.
 _UNSET = object()
-
-#: Process-wide memo of compiled oracle-side runners, keyed by optimized
-#: module content sha (the same identity the VM-result cache uses): distinct
-#: configurations and campaigns frequently produce identical optimized
-#: programs, so each is translated to Python once.  FIFO-bounded like the
-#: other campaign caches; ``None`` caches "not translatable".
-_PROGRAM_RUNNER_ENTRIES = 4096
-_program_runners: dict = {}
 
 
 @dataclass
@@ -375,32 +367,26 @@ class WhileCompiler:
     # -- execution ----------------------------------------------------------------
 
     def run(self, outcome: CompileOutcome, entry: str = "main") -> ExecutionResult:
-        """Execute the compiled (optimized) program.
+        """Execute the optimized program on the interpreter; a run that
+        reaches :data:`~repro.compiler.driver.TIER_UP_STEPS` restarts in the
+        generated tier (:func:`repro.lang.codegen.compile_program_runner`)
+        at the full budget.
 
-        The produced "binary" runs through the concrete codegen tier
-        (:func:`repro.lang.codegen.compile_program_runner`) -- the program
-        is translated once per distinct optimized module (content-sha
-        memo shared process-wide) and every execution is one call into
-        compiled bytecode, observationally identical to the interpreter
-        by the codegen exactness contract.  Programs outside the
-        translatable subset (defensive; the language is closed) fall back
-        to :func:`execute_while`.
+        The restart is exact: the generated tier matches the interpreter at
+        every budget, and a run's only output is the result it returns.  A
+        program the tier cannot compile stays on the interpreter.
         """
         if not outcome.success or outcome.module is None:
             return ExecutionResult(ExecutionStatus.ERROR, detail="compilation did not succeed")
-        module = outcome.module
-        sha = outcome.module_sha
-        if sha is None:
-            sha = hashlib.sha256(str(module).encode()).hexdigest()
-        runner = _program_runners.get(sha, _UNSET)
-        if runner is _UNSET:
-            runner = compile_program_runner(module.program)
-            _program_runners[sha] = runner
-            while len(_program_runners) > _PROGRAM_RUNNER_ENTRIES:
-                del _program_runners[next(iter(_program_runners))]
+        program = outcome.module.program
+        budget = self.vm_max_steps
+        result = execute_while(program, max_steps=min(budget, TIER_UP_STEPS))
+        if budget <= TIER_UP_STEPS or result.status is not ExecutionStatus.TIMEOUT:
+            return result
+        runner = compile_program_runner(program)
         if runner is None:
-            return execute_while(module.program, max_steps=self.vm_max_steps)
-        return runner.run((), max_steps=self.vm_max_steps)
+            return execute_while(program, max_steps=budget)
+        return runner.run((), max_steps=budget)
 
     # -- frontend ------------------------------------------------------------------
 

@@ -998,7 +998,7 @@ def compile_skeleton_runner(unit: ast.TranslationUnit, identifiers, binding_maps
     try:
         exec(compile(source, "<skeleton-codegen>", "exec"), namespace)
         exec(compile(_BATCH_SOURCE, "<skeleton-codegen-batch>", "exec"), namespace)
-    except SyntaxError:  # pragma: no cover - a codegen bug, not an input property
+    except SyntaxError:  # loops nested over 20 deep: "too many statically nested blocks"
         return None
     fn = namespace["_skeleton_main"]
     hole_slots = [

@@ -9,7 +9,10 @@ comparisons, self-assignment and duplicate branches.
 import pytest
 
 from repro.compiler.pipeline import OptimizationLevel
+from repro.core.spe import EnumerationBudget
 from repro.corpus.while_seeds import build_while_corpus, while_seed_programs
+from repro.lang import compile as while_compile
+from repro.lang.codegen import compile_program_runner
 from repro.testing.bugs import BugKind
 from repro.testing.harness import Campaign, CampaignConfig
 
@@ -121,3 +124,40 @@ class TestPipelineParity:
         result = Campaign(config(max_variants_per_file=8)).run_sources(corpus)
         assert result.files_processed == len(corpus)
         assert result.variants_tested > 0
+
+
+class TestDeepNesting:
+    """CPython compiles at most 20 statically nested loops; deeper programs
+    run on the interpreter on both sides of the oracle."""
+
+    DEAD = "x := 1; y := 0; " + "while (false) do (" * 21 + "x := y" + ")" * 21
+    # The first variants read `a >= a`, which wc-2.0 and later fold to false
+    # at -O2: the produced loop never ends, so its run reaches the tier-up,
+    # which cannot compile it.
+    ENDLESS = (
+        "a := 0; b := 0; while (not (a >= b)) do (a := a + 1; "
+        + "while (a < 0) do (" * 20 + "b := a" + ")" * 20 + ")"
+    )
+
+    @pytest.mark.parametrize("source, tiers_up", [(DEAD, False), (ENDLESS, True)], ids=["dead", "endless"])
+    def test_campaign_completes_at_every_batch_size(self, source, tiers_up, monkeypatch):
+        translations = []
+
+        def spy(program):
+            runner = compile_program_runner(program)
+            translations.append(runner)
+            return runner
+
+        monkeypatch.setattr(while_compile, "compile_program_runner", spy)
+        batched, scalar = (
+            Campaign(
+                config(max_variants_per_file=2, budget=EnumerationBudget(truncate=True), **batching)
+            ).run_sources({"deep.while": source})
+            for batching in ({}, {"batch_size": 0})
+        )
+        assert batched.variants_tested == 2
+        assert fingerprint(batched) == fingerprint(scalar)
+        # Every translation the tier-up asked for was refused.
+        assert len(translations) == (2 if tiers_up else 0) and not any(translations)
+        signatures = {report.signature for report in batched.bugs.reports}
+        assert ("produced code timeout: exceeded 500000 steps" in signatures) == tiers_up

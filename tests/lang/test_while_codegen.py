@@ -160,6 +160,17 @@ class TestRunnerLifecycle:
         assert before == after
 
 
+    def test_loops_nested_past_cpython_limit_are_not_translated(self):
+        # CPython compiles at most 20 statically nested blocks.
+        def nested(depth):
+            return "x := 1; " + "while (x < 0) do (" * depth + "x := x" + ")" * depth
+
+        assert runner_for_skeleton(extract_skeleton(nested(20))) is not None
+        skeleton = extract_skeleton(nested(21))
+        assert runner_for_skeleton(skeleton) is None
+        assert skeleton.metadata["codegen_runner"] is False
+
+
 def test_compile_skeleton_runner_rejects_unknown_nodes():
     class Alien:
         def walk(self):

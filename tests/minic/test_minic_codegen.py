@@ -153,3 +153,17 @@ class TestRunnerLifecycle:
         assert runner_for_skeleton(skeleton) is first
         skeleton.metadata["codegen_runner"] = False
         assert runner_for_skeleton(skeleton) is None  # sentinel short-circuits
+
+    def test_loops_nested_past_cpython_limit_are_not_translated(self):
+        # CPython compiles at most 20 statically nested blocks; a deeper
+        # skeleton stays on the interpreter tiers.
+        def nested(depth):
+            return (
+                "int main() { int x = 1, y = 0; " + "while (y) { " * depth
+                + "x = y; " + "} " * depth + "return x; }"
+            )
+
+        assert runner_for_skeleton(extract_skeleton(nested(20))) is not None
+        skeleton = extract_skeleton(nested(21))
+        assert runner_for_skeleton(skeleton) is None
+        assert reference(skeleton, skeleton.original_vector, 200_000).exit_code == 1
