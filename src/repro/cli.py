@@ -636,9 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--no-pipeline-cache", action="store_true",
-        help="disable the campaign-scoped pass-pipeline outcome cache keyed "
-             "by pre-optimization module content hash (every variant re-runs "
-             "the full pass pipeline, the legacy behaviour)",
+        help="disable the campaign-scoped pass-pipeline outcome cache, which "
+             "shares a run on one pre-optimization module between versions "
+             "whose seeded faults answer its fault queries alike (every "
+             "variant re-runs the full pass pipeline)",
     )
     campaign.add_argument(
         "--no-shared-memory", action="store_true",

@@ -28,6 +28,7 @@ class CFG:
 
     def __init__(self, function: IRFunction) -> None:
         self.function = function
+        self._back_edges: list[tuple[str, str]] | None = None
         self.successors: dict[str, list[str]] = {}
         self.predecessors: dict[str, list[str]] = {label: [] for label in function.blocks}
         for label, block in function.blocks.items():
@@ -76,10 +77,11 @@ class CFG:
         dom: dict[str, set[str]] = {label: set(all_blocks) for label in reachable}
         entry = self.function.entry
         dom[entry] = {entry}
+        order = self.reverse_postorder()
         changed = True
         while changed:
             changed = False
-            for label in self.reverse_postorder():
+            for label in order:
                 if label == entry:
                     continue
                 preds = [p for p in self.predecessors.get(label, []) if p in reachable]
@@ -115,14 +117,50 @@ class CFG:
     # -- loops --------------------------------------------------------------------
 
     def back_edges(self) -> list[tuple[str, str]]:
-        """Edges (tail, head) where head dominates tail."""
-        dom = self.dominators()
-        edges: list[tuple[str, str]] = []
-        for label in self.reachable():
-            for succ in self.successors.get(label, []):
-                if succ in dom.get(label, set()):
-                    edges.append((label, succ))
-        return edges
+        """Edges (tail, head) where head dominates tail.
+
+        Computed once per instance: like the successor maps, the answer
+        describes the function as it was when first asked, and callers
+        that change its blocks build a new ``CFG``.  Every back edge
+        closes a cycle, so a function without one skips the dominators.
+        """
+        if self._back_edges is None:
+            if not self._has_reachable_cycle():
+                self._back_edges = []
+            else:
+                dom = self.dominators()
+                self._back_edges = [
+                    (label, succ)
+                    for label in self.reachable()
+                    for succ in self.successors.get(label, [])
+                    if succ in dom.get(label, set())
+                ]
+        return self._back_edges
+
+    def _has_reachable_cycle(self) -> bool:
+        """Whether a depth-first walk from the entry meets a block on its own path."""
+        blocks = self.function.blocks
+        entry = self.function.entry
+        if entry not in blocks:
+            return False
+        on_path = {entry: True}  # False once a block's walk is finished
+        stack = [(entry, iter(self.successors.get(entry, [])))]
+        while stack:
+            label, successors = stack[-1]
+            for succ in successors:
+                if succ not in blocks:
+                    continue
+                state = on_path.get(succ)
+                if state:
+                    return True
+                if state is None:
+                    on_path[succ] = True
+                    stack.append((succ, iter(self.successors.get(succ, []))))
+                    break
+            else:
+                on_path[label] = False
+                stack.pop()
+        return False
 
     def natural_loops(self) -> list[Loop]:
         """Natural loops, one per back edge, merged when they share a header."""

@@ -84,60 +84,69 @@ class PipelineRecord:
     Captures the pipeline's *complete* observable effect on a compilation:
     the optimized module (shared read-only -- neither the passes nor the VM
     mutate a module after compilation), the content sha of its rendered
-    text, the crash it raised (if any), the faults it triggered (first
-    occurrences, in trigger order -- duplicates are dropped because the only
-    consumer deduplicates order-preservingly), the coverage events it
-    recorded, and the compile effort it reported.  Replaying a record
-    produces a :class:`CompileOutcome` indistinguishable from a fresh run.
+    text, the crash it raised as ``(fault id, detail)`` (re-raised through
+    the asking version's fault set, so it carries that lineage's signature
+    and component), the faults it triggered (first occurrences, in trigger
+    order -- duplicates are dropped because the only consumer deduplicates
+    order-preservingly), the coverage events it recorded, the compile
+    effort it reported and the verifier's verdict.  ``transcript`` holds
+    the ``(fault id, answer)`` of every :meth:`FaultSet.active` query the
+    run made.  Replaying a record for a fault set that answers the
+    transcript the same way produces a :class:`CompileOutcome`
+    indistinguishable from a fresh run.
     """
 
     module: object | None
     module_sha: str | None
-    crash: InternalCompilerError | None
+    crash: tuple[str, str] | None
     triggered: tuple[str, ...]
     coverage: tuple[tuple[str, int], ...]
     compile_effort: int
-    #: Verifier verdict of the run that produced this record (see
-    #: :attr:`CompileOutcome.ill_formed`); a cache hit replays the miss's
-    #: verdict.  Trailing default keeps older positional constructions valid.
+    transcript: tuple[tuple[str, bool], ...]
+    #: ``(pass name, violation)`` (see :attr:`CompileOutcome.ill_formed`).
+    #: Each configuration attributes its own ill-formed-IR faults to it.
     ill_formed: tuple[str, str] | None = None
 
 
 class PipelineCache:
-    """Campaign-scoped cache of pass-pipeline outcomes.
+    """Campaign-scoped cache of pass-pipeline outcomes, shared across versions.
 
-    Keyed by ``(version, opt_level, machine_bits, content sha of the
-    pre-optimization module)`` -- everything the pipeline's behaviour can
-    depend on: passes are deterministic in the module they transform, the
-    pass schedule (opt level), and the version's seeded-fault set.  Shared
-    by every executor of a campaign's configuration matrix; each
-    configuration occupies its own key space, so a hit replays a compilation
-    this exact configuration has already performed (re-compiles during
-    performance checks, triage reduction/bisection, incremental runs, and
-    repeated corpus content) without running a single pass.
+    Keyed by ``(opt_level, machine_bits, verify flag, content sha of the
+    pre-optimization module)``; each key holds the records of the runs
+    made so far.  The passes are deterministic in the module they
+    transform, the pass schedule (opt level), the verifier (which stops the
+    pipeline at the first violation) and the answers their fault set gives
+    to :meth:`FaultSet.active` -- no pass reads the version.  So
+    :meth:`get` reuses a record for any executor whose fault set answers
+    every query of the record's transcript the same way: the run would ask
+    the same questions, take the same decisions and end the same.  One
+    cache serves a campaign's whole configuration matrix: for most
+    variants the two trunks of the mini-C matrix share one O3 run, as do
+    the WHILE versions that lack the faults the program reaches.
     """
 
-    #: Bound on retained entries (FIFO eviction, like the VM-result cache).
+    #: Bound on retained keys (FIFO eviction, like the VM-result cache).
     MAX_ENTRIES = 16384
 
     __slots__ = ("entries", "hits", "misses", "max_entries")
 
     def __init__(self, max_entries: int = MAX_ENTRIES) -> None:
-        self.entries: dict[tuple, PipelineRecord] = {}
+        self.entries: dict[tuple, list[PipelineRecord]] = {}
         self.hits = 0
         self.misses = 0
         self.max_entries = max_entries
 
-    def get(self, key: tuple) -> PipelineRecord | None:
-        record = self.entries.get(key)
-        if record is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return record
+    def get(self, key: tuple, faults: FaultSet) -> PipelineRecord | None:
+        """A record under ``key`` whose transcript ``faults`` answers alike."""
+        for record in self.entries.get(key, ()):
+            if faults.answers(record.transcript):
+                self.hits += 1
+                return record
+        self.misses += 1
+        return None
 
     def put(self, key: tuple, record: PipelineRecord) -> None:
-        self.entries[key] = record
+        self.entries.setdefault(key, []).append(record)
         while len(self.entries) > self.max_entries:
             del self.entries[next(iter(self.entries))]
 
@@ -228,13 +237,14 @@ class Compiler:
         path.
 
         With a :attr:`pipeline_cache` wired, the pass-pipeline run is keyed
-        on the content sha of the pre-optimization lowered module (per
-        configuration) and replayed from cache on repeats; frontend fault
-        verdicts and the lowered module's sha are additionally memoised per
-        variant, and at ``-O0`` (empty pipeline) the shared lowered module
-        is used directly -- no passes can mutate it, so no private clone is
-        needed.  All of it is observationally identical to the uncached
-        path.
+        on the opt level, machine bits, verify flag and the content sha of
+        the pre-optimization lowered module, and replayed from cache for any
+        version whose fault set answers the recorded run's fault queries
+        the same way (see :class:`PipelineCache`).  Frontend fault verdicts
+        and the lowered module's sha are additionally memoised per variant,
+        and at ``-O0`` (empty pipeline) the shared lowered module is used
+        directly -- no passes can mutate it, so no private clone is needed.
+        All of it is observationally identical to the uncached path.
         """
         cache = self.pipeline_cache
         if cache is None:
@@ -250,7 +260,13 @@ class Compiler:
     def _compile_variant_cached(
         self, variant: BoundVariant, name: str, cache: PipelineCache
     ) -> CompileOutcome:
-        """The pipeline-dedup fast path of :meth:`compile_variant`."""
+        """The pipeline-dedup fast path of :meth:`compile_variant`.
+
+        Frontend checks run before the cached region and ill-formed-IR
+        attribution after it, both per configuration: neither is part of
+        a record, so a record serves every version that answers its
+        transcript alike.
+        """
         outcome = CompileOutcome(
             source_name=name,
             version=self.version.name,
@@ -263,8 +279,9 @@ class Compiler:
             self._frontend_checks_variant(variant, unit, faults)
             lowered = self._lowered_cached(variant, unit)
             lowered_sha = self._lowered_sha(variant, lowered)
-            key = (self.version.name, int(self.opt_level), self.machine_bits, lowered_sha)
-            record = cache.get(key)
+            verify = self.verify_ir and bool(self._pipeline)
+            key = (int(self.opt_level), self.machine_bits, verify, lowered_sha)
+            record = cache.get(key, faults)
             if record is None:
                 record = self._run_pipeline_recorded(lowered, lowered_sha, faults, outcome)
                 cache.put(key, record)
@@ -274,7 +291,9 @@ class Compiler:
                 faults.triggered.extend(record.triggered)
                 outcome.compile_effort = record.compile_effort
             if record.crash is not None:
-                raise record.crash
+                faults.crash(*record.crash)
+            if record.ill_formed is not None:
+                self._attribute_ill_formed(record.ill_formed[0], faults)
             outcome.module = record.module
             outcome.module_sha = record.module_sha
             outcome.ill_formed = record.ill_formed
@@ -302,15 +321,20 @@ class Compiler:
         """
         base = len(faults.triggered)
         module = clone_module(lowered) if self._pipeline else lowered
-        crash: InternalCompilerError | None = None
+        crash: tuple[str, str] | None = None
+        faults.transcript = {}
         try:
             self._run_pipeline(module, faults, outcome)
         except InternalCompilerError as error:
-            crash = error
+            crash = (error.fault_id, error.detail)
+        transcript = tuple(faults.transcript.items())
+        faults.transcript = None
         triggered = tuple(dict.fromkeys(faults.triggered[base:]))
         coverage = tuple(outcome.coverage.counts.items())
         if crash is not None:
-            return PipelineRecord(None, None, crash, triggered, coverage, outcome.compile_effort)
+            return PipelineRecord(
+                None, None, crash, triggered, coverage, outcome.compile_effort, transcript
+            )
         if module is lowered:
             module_sha = lowered_sha
         else:
@@ -322,6 +346,7 @@ class Compiler:
             triggered,
             coverage,
             outcome.compile_effort,
+            transcript,
             outcome.ill_formed,
         )
 
@@ -338,6 +363,8 @@ class Compiler:
         try:
             module = build_module(faults)
             self._run_pipeline(module, faults, outcome)
+            if outcome.ill_formed is not None:
+                self._attribute_ill_formed(outcome.ill_formed[0], faults)
             outcome.module = module
             outcome.success = True
         except InternalCompilerError as crash:
@@ -471,23 +498,23 @@ class Compiler:
                         check_unreachable=pass_instance.name == "simplify-cfg",
                     )
                     if violation is not None:
-                        self._note_ill_formed(pass_instance.name, violation, faults, outcome)
+                        outcome.ill_formed = (pass_instance.name, str(violation))
                         outcome.compile_effort = sum(
                             context.statistics.values()
                         ) + instruction_count(module)
                         return
         outcome.compile_effort = sum(context.statistics.values()) + instruction_count(module)
 
-    def _note_ill_formed(
-        self, pass_name: str, violation, faults: FaultSet, outcome: CompileOutcome
-    ) -> None:
-        """Stamp a verifier violation on the outcome and attribute its fault.
+    def _attribute_ill_formed(self, pass_name: str, faults: FaultSet) -> None:
+        """Mark this version's ill-formed-IR faults of ``pass_name`` triggered.
 
         Ill-formed-IR faults deliberately stay silent inside the passes (so
         verification-off campaigns remain byte-identical); the verifier is
-        the observer, so it marks any matching seeded fault triggered --
+        the observer, so once it has stopped the pipeline after
+        ``pass_name`` every matching seeded fault is marked triggered --
         which gives the filed bug its component/priority metadata and a
-        stable triggered-faults dedup key.
+        stable triggered-faults dedup key.  Runs outside the cached region:
+        it reads the version's fault definitions, not the run's queries.
         """
         for fault in self._fault_dict.values():
             if (
@@ -496,7 +523,6 @@ class Compiler:
                 and fault.active_at(int(self.opt_level))
             ):
                 faults.trigger(fault.id)
-        outcome.ill_formed = (pass_name, str(violation))
 
     # -- frontend seeded faults --------------------------------------------------------
 

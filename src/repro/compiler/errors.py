@@ -15,11 +15,17 @@ class InternalCompilerError(Exception):
     and is what the bug deduplicator keys on.
     """
 
-    def __init__(self, message: str, component: str = "", fault_id: str = "") -> None:
+    def __init__(
+        self, message: str, component: str = "", fault_id: str = "", detail: str = ""
+    ) -> None:
         super().__init__(message)
         self.message = message
         self.component = component
         self.fault_id = fault_id
+        #: The site-specific part of ``message`` (see
+        #: :meth:`repro.compiler.faults.FaultSet.crash`): with ``fault_id``
+        #: it lets another fault set re-raise the same crash in its own words.
+        self.detail = detail
 
     def signature(self) -> str:
         location = f", in {self.component}" if self.component else ""

@@ -60,11 +60,20 @@ class Fault:
 
 @dataclass
 class FaultSet:
-    """The faults enabled for one compiler version at one optimization level."""
+    """The faults enabled for one compiler version at one optimization level.
+
+    Code that a seeded fault can change asks :meth:`active` at the decision
+    the fault changes, and nowhere else.  While ``transcript`` is a dict,
+    every answer is recorded in it by fault id; a pass-pipeline run's
+    transcript is then everything the run learnt about its version, which
+    is what lets :class:`repro.compiler.driver.PipelineCache` reuse the run
+    for any fault set that :meth:`answers` it the same way.
+    """
 
     faults: dict[str, Fault] = field(default_factory=dict)
     opt_level: int = 0
     triggered: list[str] = field(default_factory=list)
+    transcript: dict[str, bool] | None = None
 
     @staticmethod
     def of(faults: list[Fault], opt_level: int = 0) -> "FaultSet":
@@ -72,6 +81,17 @@ class FaultSet:
 
     def active(self, fault_id: str) -> bool:
         """Whether the fault is present and armed at the current opt level."""
+        answer = self._armed(fault_id)
+        if self.transcript is not None:
+            self.transcript[fault_id] = answer
+        return answer
+
+    def answers(self, transcript: tuple[tuple[str, bool], ...]) -> bool:
+        """Whether :meth:`active` gives every ``(fault id, answer)`` of a
+        recorded transcript (without recording anything itself)."""
+        return all(self._armed(fault_id) == answer for fault_id, answer in transcript)
+
+    def _armed(self, fault_id: str) -> bool:
         fault = self.faults.get(fault_id)
         return fault is not None and fault.active_at(self.opt_level)
 
@@ -85,12 +105,19 @@ class FaultSet:
         return fault
 
     def crash(self, fault_id: str, detail: str = "") -> None:
-        """Raise the crash corresponding to ``fault_id`` (must be active)."""
+        """Raise the crash corresponding to ``fault_id`` (must be active).
+
+        The only reader of a fault's definition: the signature and
+        component come from this set's own lineage, so a crash recorded as
+        ``(fault id, detail)`` re-raises here in the asking version's words.
+        """
         fault = self.trigger(fault_id)
         message = fault.crash_signature or fault.description
         if detail:
             message = f"{message} ({detail})"
-        raise InternalCompilerError(message, component=fault.component, fault_id=fault.id)
+        raise InternalCompilerError(
+            message, component=fault.component, fault_id=fault.id, detail=detail
+        )
 
 
 __all__ = ["Fault", "FaultKind", "FaultSet"]

@@ -6,7 +6,11 @@ reports what it did through a :class:`CoverageRecorder` -- the fine-grained
 the paper measures with gcov.  Passes also consult the active
 :class:`~repro.compiler.faults.FaultSet`: seeded bugs are implemented inside
 the passes themselves, guarded by fault ids, so different "compiler versions"
-exhibit different crash and wrong-code behaviours.
+exhibit different crash and wrong-code behaviours.  A pass asks
+:meth:`~repro.compiler.faults.FaultSet.active` only at the decision the fault
+changes, once the input has reached the fault's trigger: the driver's
+pipeline cache reuses a run for every version that answers the run's queries
+alike, so an early query splits versions the fault never distinguishes.
 """
 
 from __future__ import annotations

@@ -115,10 +115,10 @@ class ConstantFolding(FunctionPass):
 
         # Seeded crash: deciding equality of structurally identical operands.
         if (
-            context.faults.active("fold-equal-operands")
-            and instr.op in ("-", "==", "!=")
+            instr.op in ("-", "==", "!=")
             and isinstance(left, Temp)
             and left == right
+            and context.faults.active("fold-equal-operands")
         ):
             context.faults.crash("fold-equal-operands", detail=f"operands of {instr.op!r}")
 

@@ -39,18 +39,22 @@ class ConstantPropagation(FunctionPass):
     name = "const-prop"
 
     def run(self, function: IRFunction, context: PassContext) -> bool:
-        ignore_aliases = context.faults.active("cprop-ignores-aliases")
         # The seeded alias bug: pointer stores invalidate nothing, so stale
-        # constants survive across ``*p = ...`` writes.
+        # constants survive across ``*p = ...`` writes (a function without
+        # one is analysed the same either way).
+        ignore_aliases = any(
+            isinstance(instr, (StorePtr, StoreElem)) for instr in function.instructions()
+        ) and context.faults.active("cprop-ignores-aliases")
         analysis = ReachingConstants(function, respect_pointer_stores=not ignore_aliases)
         analysis.run()
 
         iterations = 1
-        if context.faults.active("cprop-fixpoint-blowup") and self._has_conflicting_loop_stores(function):
-            fault = context.faults.trigger("cprop-fixpoint-blowup")
+        if self._has_conflicting_loop_stores(function) and context.faults.active(
+            "cprop-fixpoint-blowup"
+        ):
+            context.faults.trigger("cprop-fixpoint-blowup")
             iterations = 1 + len(function.blocks) * len(function.blocks)
             self.note(context, "fixpoint_blowup", amount=iterations)
-            _ = fault
 
         changed = False
         for _ in range(iterations):
@@ -64,9 +68,6 @@ class ConstantPropagation(FunctionPass):
         context: PassContext,
         ignore_aliases: bool,
     ) -> bool:
-        has_pointer_store = any(
-            isinstance(instr, (StorePtr, StoreElem)) for instr in function.instructions()
-        )
         aliasable = _address_taken(function)
         changed = False
         for label, block in function.blocks.items():
@@ -77,7 +78,7 @@ class ConstantPropagation(FunctionPass):
                 if isinstance(instr, Load) and instr.var.name in values:
                     new_instructions.append(Copy(instr.dest, Const(values[instr.var.name])))
                     self.note(context, "load_replaced")
-                    if ignore_aliases and has_pointer_store and (
+                    if ignore_aliases and (
                         instr.var.name in aliasable or instr.var.name not in function.slots
                     ):
                         # The wrong-code fault actually fired on this program.
@@ -95,6 +96,15 @@ class ConstantPropagation(FunctionPass):
     def _has_conflicting_loop_stores(function: IRFunction) -> bool:
         from repro.compiler.cfg import CFG
 
+        # Linear pre-filter: a loop can only store two different constants
+        # to one slot if the function does.
+        first_constant: dict[str, int] = {}
+        for instr in function.instructions():
+            if isinstance(instr, Store) and isinstance(instr.src, Const):
+                if first_constant.setdefault(instr.var.name, instr.src.value) != instr.src.value:
+                    break
+        else:
+            return False
         loops = CFG(function).natural_loops()
         for loop in loops:
             constants_per_var: dict[str, set[int]] = {}

@@ -73,17 +73,9 @@ class CopyPropagation(FunctionPass):
 
     def _slot_copies(self, function: IRFunction, context: PassContext) -> bool:
         # Seeded crash on self-assignments "a = a" (Store @a <- Load @a).
-        if context.faults.active("copyprop-self-assign"):
-            for block in function.blocks.values():
-                loaded_from: dict[str, str] = {}
-                for instr in block.instructions:
-                    if isinstance(instr, Load):
-                        loaded_from[instr.dest.name] = instr.var.name
-                    elif isinstance(instr, Store) and isinstance(instr.src, Temp):
-                        if loaded_from.get(instr.src.name) == instr.var.name:
-                            context.faults.crash(
-                                "copyprop-self-assign", detail=f"variable {instr.var.name!r}"
-                            )
+        assigned = _first_self_assignment(function)
+        if assigned is not None and context.faults.active("copyprop-self-assign"):
+            context.faults.crash("copyprop-self-assign", detail=f"variable {assigned!r}")
 
         analysis = AvailableCopies(function)
         analysis.run()
@@ -112,6 +104,19 @@ class CopyPropagation(FunctionPass):
                     copies = {}
             block.instructions = new_instructions
         return changed
+
+
+def _first_self_assignment(function: IRFunction) -> str | None:
+    """The slot of the first ``a = a`` (a store of a load of itself), if any."""
+    for block in function.blocks.values():
+        loaded_from: dict[str, str] = {}
+        for instr in block.instructions:
+            if isinstance(instr, Load):
+                loaded_from[instr.dest.name] = instr.var.name
+            elif isinstance(instr, Store) and isinstance(instr.src, Temp):
+                if loaded_from.get(instr.src.name) == instr.var.name:
+                    return instr.var.name
+    return None
 
 
 __all__ = ["CopyPropagation"]

@@ -82,12 +82,16 @@ class DeadCodeElimination(FunctionPass):
     # -- dead stores ---------------------------------------------------------------
 
     def _dead_stores(self, function: IRFunction, context: PassContext) -> bool:
-        forget_address_taken = context.faults.active("dce-addr-taken-store")
+        # Only address-taken slots are treated differently by the fault.
+        address_taken = address_taken_slots(function)
+        forget_address_taken = bool(address_taken) and context.faults.active(
+            "dce-addr-taken-store"
+        )
         liveness = LiveVariables(function)
         if forget_address_taken:
             liveness.address_taken = set()
         liveness.run()
-        taken = set() if forget_address_taken else address_taken_slots(function)
+        taken = set() if forget_address_taken else address_taken
 
         changed = False
         for label, block in function.blocks.items():

@@ -49,14 +49,12 @@ class LoopInvariantCodeMotion(FunctionPass):
     def run(self, function: IRFunction, context: PassContext) -> bool:
         cfg = CFG(function)
 
-        if context.faults.active("licm-irreducible-assert") and not cfg.is_reducible():
+        if not cfg.is_reducible() and context.faults.active("licm-irreducible-assert"):
             context.faults.crash(
                 "licm-irreducible-assert", detail=f"function {function.name!r}"
             )
 
-        changed = False
-        if context.faults.active("loop-index-strength-reduce"):
-            changed = self._bogus_strength_reduction(function, cfg, context) or changed
+        changed = self._bogus_strength_reduction(function, cfg, context)
 
         for loop in cfg.natural_loops():
             changed = self._hoist_loop(function, cfg, loop, context) or changed
@@ -154,7 +152,10 @@ class LoopInvariantCodeMotion(FunctionPass):
     # -- seeded wrong-code strength reduction -------------------------------------------
 
     def _bogus_strength_reduction(self, function: IRFunction, cfg: CFG, context: PassContext) -> bool:
-        """Rewrite in-loop element indexes of the form f(x, x) to just x."""
+        """Rewrite in-loop element indexes of the form f(x, x) to just x.
+
+        Every version scans; only one with the seeded fault rewrites.
+        """
         changed = False
         loop_blocks = {label for loop in cfg.natural_loops() for label in loop.body}
         for label in loop_blocks:
@@ -180,7 +181,11 @@ class LoopInvariantCodeMotion(FunctionPass):
                     ):
                         # Replace the computed index with the bare variable load.
                         replacement = self._first_load_of(block, next(iter(index_sources)))
-                        if replacement is not None and replacement != instr.index:
+                        if (
+                            replacement is not None
+                            and replacement != instr.index
+                            and context.faults.active("loop-index-strength-reduce")
+                        ):
                             instr.index = replacement
                             context.faults.trigger("loop-index-strength-reduce")
                             self.note(context, "bogus_index_rewrite")

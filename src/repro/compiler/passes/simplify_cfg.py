@@ -60,13 +60,11 @@ class SimplifyCFG(FunctionPass):
             if len(block.instructions) == 1 and isinstance(block.instructions[0], Jump):
                 forwarding[label] = block.instructions[0].target
 
-        buggy = context.faults.active("cfg-self-loop-collapse")
-        if buggy:
-            for label, target in forwarding.items():
-                if label == target:
-                    context.faults.crash(
-                        "cfg-self-loop-collapse", detail=f"block {label!r} forwards to itself"
-                    )
+        self_loop = next((label for label, target in forwarding.items() if label == target), None)
+        if self_loop is not None and context.faults.active("cfg-self-loop-collapse"):
+            context.faults.crash(
+                "cfg-self-loop-collapse", detail=f"block {self_loop!r} forwards to itself"
+            )
 
         def resolve(label: str) -> str:
             seen = set()
@@ -102,8 +100,10 @@ class SimplifyCFG(FunctionPass):
         reachable = CFG(function).reachable()
         unreachable = [label for label in function.blocks if label not in reachable]
         retained: str | None = None
-        if unreachable and context.faults.active("cfg-retain-garbage-block"):
-            retained = self._garbage_block_to_retain(function, reachable, unreachable)
+        if unreachable:
+            candidate = self._garbage_block_to_retain(function, reachable, unreachable)
+            if candidate is not None and context.faults.active("cfg-retain-garbage-block"):
+                retained = candidate
         removed = False
         for label in unreachable:
             if label == retained:

@@ -230,6 +230,10 @@ def _check_call(instr: Call, label: str, module_functions, flag) -> None:
 
 
 def _check_temp_definitions(function: IRFunction, cfg: CFG, flag) -> None:
+    # A use defined earlier in its own block is defined on every path, so
+    # the fixed point can only flag something when some use is not.
+    if all(_uses_defined_locally(block) for block in function.blocks.values()):
+        return
     # Only meaningful when the CFG is structurally sound enough to analyse.
     analysis = DefinedTemps(function)
     analysis.run()
@@ -244,6 +248,18 @@ def _check_temp_definitions(function: IRFunction, cfg: CFG, flag) -> None:
                         f"{operand} used before definition in {instr}",
                     )
             defined.update(temp.name for temp in instr.defs())
+
+
+def _uses_defined_locally(block: BasicBlock) -> bool:
+    """Whether every temp the block uses is defined earlier in the block."""
+    defined: set[str] = set()
+    for instr in block.instructions:
+        for operand in instr.uses():
+            if isinstance(operand, Temp) and operand.name not in defined:
+                return False
+        for temp in instr.defs():
+            defined.add(temp.name)
+    return True
 
 
 __all__ = [

@@ -230,11 +230,14 @@ class WhileCompiler:
         output, so the produced module stays valid after the next rebind.
 
         With a :attr:`pipeline_cache` wired, the fold pipeline is keyed on
-        the content sha of the variant's rendered source (the printer is
-        injective on programs, so equal text means equal pre-opt AST) per
-        configuration, and repeats replay the recorded optimized program,
-        triggered faults and effort -- observationally identical to the
-        uncached path.
+        the opt level, machine bits and the content sha of the variant's
+        rendered source (the printer is injective on programs, so equal
+        text means equal pre-opt AST), and any version whose fault set
+        answers the recorded run's fault queries the same way replays its
+        optimized program, crash, triggered faults and effort -- see
+        :class:`repro.compiler.driver.PipelineCache`.  WHILE has nothing to
+        verify, so the verify flag is not part of the key.  Observationally
+        identical to the uncached path.
         """
         cache = self.pipeline_cache
         if cache is None:
@@ -263,8 +266,8 @@ class WhileCompiler:
             if sha is None:
                 sha = hashlib.sha256(variant.source.encode()).hexdigest()
                 variant.cache["while_source_sha"] = sha
-            key = (self.version.name, int(self.opt_level), self.machine_bits, sha)
-            record = cache.get(key)
+            key = (int(self.opt_level), self.machine_bits, sha)
+            record = cache.get(key, faults)
             if record is None:
                 record = self._run_pipeline_recorded(program, faults)
                 cache.put(key, record)
@@ -272,7 +275,7 @@ class WhileCompiler:
                 faults.triggered.extend(record.triggered)
             outcome.compile_effort = record.compile_effort
             if record.crash is not None:
-                raise record.crash
+                faults.crash(*record.crash)
             # A fresh wrapper per outcome (the record's module is shared and
             # carries no caller name); program and rendered source are reused.
             template = record.module
@@ -299,18 +302,21 @@ class WhileCompiler:
         """
         base = len(faults.triggered)
         effort = [0]
-        crash: InternalCompilerError | None = None
+        crash: tuple[str, str] | None = None
         optimized: WhileNode | None = None
+        faults.transcript = {}
         try:
             optimized = self._run_pipeline(program, faults, effort)
         except InternalCompilerError as error:
-            crash = error
+            crash = (error.fault_id, error.detail)
+        transcript = tuple(faults.transcript.items())
+        faults.transcript = None
         triggered = tuple(dict.fromkeys(faults.triggered[base:]))
         if crash is not None:
-            return PipelineRecord(None, None, crash, triggered, (), 0)
+            return PipelineRecord(None, None, crash, triggered, (), 0, transcript)
         module = WhileModule(name="<module>", program=optimized)
         module_sha = hashlib.sha256(str(module).encode()).hexdigest()
-        return PipelineRecord(module, module_sha, None, triggered, (), effort[0])
+        return PipelineRecord(module, module_sha, None, triggered, (), effort[0], transcript)
 
     def _frontend_checks_variant(
         self, variant: BoundVariant, program: WhileNode, faults: FaultSet, outcome: CompileOutcome
@@ -560,7 +566,7 @@ class WhileCompiler:
                         "wfold-sub-self", detail=f"'{left.name} - {right.name}'"
                     )
                 return Num(0)
-            if faults.active("wsub-name-commute") and left.name > right.name:
+            if left.name > right.name and faults.active("wsub-name-commute"):
                 # The seeded wrong-code bug: x - y "canonicalised" to y - x.
                 faults.trigger("wsub-name-commute")
                 return BinaryArith("-", right, left)

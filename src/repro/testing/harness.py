@@ -374,13 +374,15 @@ class CampaignConfig:
     #: excluded from the durable store's config fingerprint.
     batch_size: int = 32
     #: Share one campaign-scoped pass-pipeline outcome cache across all
-    #: oracles, keyed by ``(version, opt_level, machine_bits,
-    #: pre-optimization lowered-module hash)`` -- re-compiles of the same
-    #: lowered module (reference siblings, triage, incremental columns,
-    #: repeated corpus content) replay the recorded optimized module,
-    #: triggered-fault set and crash outcome instead of re-running the
-    #: passes.  When False, every compile runs the full pipeline (the
-    #: legacy behaviour).  Throughput only; fingerprint-excluded.
+    #: oracles, keyed by ``(opt_level, machine_bits, verify flag,
+    #: pre-optimization lowered-module hash)`` -- a compile of a lowered
+    #: module already run by any version whose faults answer the run's
+    #: recorded fault queries alike (the other trunk of the matrix,
+    #: reference siblings, triage, incremental columns, repeated corpus
+    #: content) replays the recorded optimized module, triggered-fault set
+    #: and crash outcome instead of re-running the passes.  When False,
+    #: every compile runs the full pipeline (the reference leg of the
+    #: equivalence suites).  Throughput only; fingerprint-excluded.
     cache_pipeline_results: bool = True
     #: Fan the preloaded corpus out to pool workers through one
     #: ``multiprocessing.shared_memory`` segment (workers map the source
@@ -652,8 +654,9 @@ class Campaign:
         self._frontend = get_frontend(self.config.frontend)
         self._oracles = self.config.oracles()
         # Campaign-scoped pipeline-outcome cache (see PipelineCache in
-        # repro.compiler.driver): one cache serves the whole matrix because
-        # entries are keyed by each executor's own (version, level, bits).
+        # repro.compiler.driver): one cache serves the whole matrix, and a
+        # run is reused by every version whose faults answer its recorded
+        # fault queries alike.
         self._pipeline_cache: PipelineCache | None = (
             PipelineCache() if self.config.cache_pipeline_results else None
         )

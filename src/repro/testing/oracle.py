@@ -142,9 +142,11 @@ class DifferentialOracle:
         """Wire a campaign-scoped pipeline-outcome cache into both executors.
 
         ``cache`` is a :class:`repro.compiler.driver.PipelineCache`; both the
-        compiler under test and its reference sibling key their entries by
-        their own ``(version, opt_level, machine_bits)``, so one shared cache
-        serves the whole configuration matrix.
+        compiler under test and its reference sibling look runs up by
+        ``(opt_level, machine_bits, verify flag, module content)`` and reuse
+        any run whose recorded fault queries their own fault set answers the
+        same way, so one shared cache serves the whole configuration matrix
+        and versions share runs where their faults do not matter.
         """
         self._compiler.pipeline_cache = cache
         self._reference.pipeline_cache = cache

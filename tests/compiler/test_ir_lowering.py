@@ -125,3 +125,26 @@ class TestCFG:
         module = lower(source)
         cfg = CFG(module.function("main"))
         assert not cfg.is_reducible()
+
+    def test_back_edges_match_dominance_on_corpus(self):
+        """The acyclic short cut in ``back_edges`` agrees with the
+        dominance definition, on functions with and without loops."""
+        from repro.frontends import get_frontend
+
+        cyclic = acyclic = 0
+        for source in get_frontend("minic").build_corpus(files=12).values():
+            for function in lower(source).functions.values():
+                cfg = CFG(function)
+                dom = cfg.dominators()
+                expected = {
+                    (label, succ)
+                    for label in cfg.reachable()
+                    for succ in cfg.successors.get(label, [])
+                    if succ in dom.get(label, set())
+                }
+                assert set(cfg.back_edges()) == expected
+                if expected:
+                    cyclic += 1
+                else:
+                    acyclic += 1
+        assert cyclic and acyclic

@@ -14,8 +14,18 @@ from repro.compiler.ir import (
     Temp,
     VarRef,
 )
+from repro.compiler.cfg import CFG
+from repro.compiler.driver import Compiler
 from repro.compiler.lowering import lower_module
-from repro.compiler.verify import IRViolation, first_violation, verify_function, verify_module
+from repro.compiler.verify import (
+    DefinedTemps,
+    IRViolation,
+    first_violation,
+    verify_function,
+    verify_module,
+)
+from repro.compiler.versions import lineage_versions
+from repro.frontends import get_frontend
 from repro.minic.parser import parse
 from repro.minic.symbols import resolve
 
@@ -156,6 +166,81 @@ class TestTempDefinitions:
         )
         violations = verify_function(function)
         assert any(v.rule == "use-before-def" for v in violations)
+
+
+def _fixed_point_temp_violations(function):
+    """The use-before-def check run through the full ``DefinedTemps`` fixed
+    point for every function, as the verifier did before its per-block
+    fast path: the reference the fast path must match."""
+    analysis = DefinedTemps(function)
+    analysis.run()
+    found = []
+    for label in CFG(function).reverse_postorder():
+        defined = set(analysis.block_in.get(label, frozenset()))
+        for instr in function.blocks[label].instructions:
+            for operand in instr.uses():
+                if isinstance(operand, Temp) and operand.name not in defined:
+                    found.append((label, f"{operand} used before definition in {instr}"))
+            defined.update(temp.name for temp in instr.defs())
+    return found
+
+
+def _temp_violations(function):
+    return [
+        (violation.block, violation.detail)
+        for violation in verify_function(function)
+        if violation.rule == "use-before-def"
+    ]
+
+
+def _has_cross_block_use(function):
+    for block in function.blocks.values():
+        defined = set()
+        for instr in block.instructions:
+            if any(isinstance(op, Temp) and op.name not in defined for op in instr.uses()):
+                return True
+            defined.update(temp.name for temp in instr.defs())
+    return False
+
+
+class TestTempDefinitionFastPath:
+    def test_matches_fixed_point_on_hand_built_cross_block_uses(self):
+        t, cond = Temp("t1"), Temp("c")
+        one_path = _function(
+            [
+                _block("entry", [Copy(cond, Const(1)), CJump(cond, "a", "b")]),
+                _block("a", [Copy(t, Const(2)), Jump("join")]),
+                _block("b", [Jump("join")]),
+                _block("join", [Return(t)]),
+            ]
+        )
+        both_paths = _function(
+            [
+                _block("entry", [Copy(cond, Const(1)), CJump(cond, "a", "b")]),
+                _block("a", [Copy(t, Const(2)), Jump("join")]),
+                _block("b", [Copy(t, Const(3)), Jump("join")]),
+                _block("join", [Return(t)]),
+            ]
+        )
+        for function in (one_path, both_paths):
+            assert _temp_violations(function) == _fixed_point_temp_violations(function)
+        assert _temp_violations(one_path)
+        assert not _temp_violations(both_paths)
+
+    def test_matches_fixed_point_across_lineage_matrix(self):
+        frontend = get_frontend("minic")
+        versions = ["reference"] + lineage_versions("scc") + lineage_versions("lcc")
+        functions = []
+        for source in frontend.build_corpus(files=6).values():
+            functions.extend(_lowered(source).functions.values())
+            for version in versions:
+                for level in range(1, 4):
+                    outcome = Compiler(version, level).compile_source(source)
+                    if outcome.module is not None:
+                        functions.extend(outcome.module.functions.values())
+        assert any(_has_cross_block_use(function) for function in functions)
+        for function in functions:
+            assert _temp_violations(function) == _fixed_point_temp_violations(function)
 
 
 class TestOperandAndCallRules:
