@@ -42,7 +42,10 @@ class CommonSubexpressionElimination(FunctionPass):
 
     def run(self, function: IRFunction, context: PassContext) -> bool:
         changed = False
-        buggy_commute = context.faults.active("cse-commutes-sub")
+        # Asked at the first subtraction, not before: the answer only re-keys
+        # ``-``, so a run with no subtraction leaves it out of its transcript
+        # and is shared by versions with and without the fault.
+        buggy_commute: bool | None = None
         for block in function.blocks.values():
             available: dict[tuple, Temp] = {}
             original_order: dict[tuple, tuple] = {}
@@ -57,7 +60,9 @@ class CommonSubexpressionElimination(FunctionPass):
                     instr.replace_uses(canon)
                 replacement: Instr = instr
                 if isinstance(instr, BinOp):
-                    key = self._binop_key(instr, buggy_commute)
+                    if buggy_commute is None and instr.op == "-":
+                        buggy_commute = context.faults.active("cse-commutes-sub")
+                    key = self._binop_key(instr, bool(buggy_commute))
                     if key in available:
                         current_order = self._operand_keys((instr.left, instr.right))
                         if (

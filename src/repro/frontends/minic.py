@@ -39,17 +39,13 @@ class MiniCFrontend(Frontend):
     def run_reference_variant(
         self, variant: BoundVariant, max_steps: int = 200_000
     ) -> ExecutionResult:
-        # The interpreter's closure-compiled function bodies are memoised per
-        # skeleton (they read identifier bindings at execution time), so the
-        # whole file's variant stream shares one translation.
-        compiled = variant.skeleton.metadata.setdefault("interp_compiled", {})
-        return run_unit(variant.program, max_steps=max_steps, compiled=compiled)
+        return run_unit(variant.program, max_steps=max_steps)
 
     def run_reference_batch(self, variants, max_steps: int = 200_000):
         # The batched tier translates the whole skeleton into one generated
         # Python function (repro.minic.codegen); each vector then costs a
-        # slot-table lookup plus one call.  Skeletons outside the raw-int
-        # subset get no runner and fall back to the per-variant interpreter.
+        # slot-table lookup plus one call.  Skeletons outside its subset get
+        # no runner and run variant by variant on the interpreter.
         from repro.minic.codegen import runner_for_skeleton
 
         results = []

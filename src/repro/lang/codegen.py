@@ -244,7 +244,7 @@ class WhileSkeletonRunner:
 
     __slots__ = ("_fn", "_batch")
 
-    def __init__(self, fn, batch=None) -> None:
+    def __init__(self, fn, batch) -> None:
         self._fn = fn
         self._batch = batch
 
@@ -264,14 +264,10 @@ class WhileSkeletonRunner:
         self, vectors: Sequence[CharacteristicVector], max_steps: int = 200_000
     ) -> list[ExecutionResult]:
         """One generated-trampoline call for the whole batch (argument frames
-        precomputed in bulk); per-vector :meth:`run` fallback for runners
-        built before the vectorized tier existed."""
-        batch = self._batch
-        if batch is None:
-            return [self.run(vector, max_steps=max_steps) for vector in vectors]
+        precomputed in bulk)."""
         frames = [tuple(vector) for vector in vectors]
         results: list[ExecutionResult] = []
-        batch(frames, max_steps, results)
+        self._batch(frames, max_steps, results)
         return results
 
 
@@ -291,9 +287,7 @@ def _compile_runner(source: str, filename: str) -> WhileSkeletonRunner | None:
         return None
     exec(code, namespace)  # noqa: S102
     exec(compile(_BATCH_SOURCE, filename + "-batch", "exec"), namespace)  # noqa: S102
-    return WhileSkeletonRunner(
-        namespace["_skeleton_main"], batch=namespace["_skeleton_batch"]
-    )
+    return WhileSkeletonRunner(namespace["_skeleton_main"], namespace["_skeleton_batch"])
 
 
 def compile_skeleton_runner(program: WhileNode, identifiers: Sequence[Var]) -> WhileSkeletonRunner | None:

@@ -1,14 +1,15 @@
 """Batched skeleton execution: one generated Python function per skeleton.
 
-The closure-compiled interpreter tiers (:mod:`repro.minic.interp`) still pay
-a Python call per AST node per step.  For the raw-int subset that dominates
-the generated corpus -- plain ``int`` scalars and arrays, goto-free
-structured control flow, ``printf``/``putchar``/``exit``/``abort`` calls in
+The reference interpreter (:mod:`repro.minic.interp`) pays a dispatch per
+AST node per step.  For the subset that dominates the generated corpus --
+plain ``int`` scalars and arrays, ``long`` locals that are declared and
+never read, structured control flow plus ``goto`` to labels at the top
+level of ``main``, ``printf``/``putchar``/``exit``/``abort`` calls in
 statement position -- a skeleton's whole ``main`` can instead be translated
 **once** into a single Python function, with every hole site reading its
 bound variable through a per-vector slot table.  Running a characteristic
-vector is then one call of the generated function: no per-node dispatch, no
-AST rebinding, no interpreter object.
+vector is then one pass through the generated function: no per-node
+dispatch, no AST rebinding, no interpreter object.
 
 Exactness contract (the generated tier must be byte-identical to
 ``run_unit`` on every eligible unit):
@@ -21,17 +22,24 @@ Exactness contract (the generated tier must be byte-identical to
   ticks may be *consolidated* across operations that cannot raise and
   produce no output: the emitter accumulates pending ticks and flushes a
   single ``s += k``/budget check before any UB-capable operation, any
-  output, any ``return``/``break``/``continue`` and on every loop
+  output, any ``return``/``break``/``continue``/``goto`` and on every loop
   back-edge, so a TIMEOUT fires at the same observable boundary as the
   interpreter's per-node checks.
+* **goto.**  ``main``'s top-level labels split its items into segments,
+  run by one dispatch loop in which segment k runs under ``if _pc <= k``.
+  A ``goto`` ticks once and raises the interpreter's goto signal; the
+  handler spends one of the call's ``GOTO_JUMP_LIMIT`` jumps (the last is
+  a TIMEOUT) and re-enters at the label's segment.  Skipped segments do not tick, and a
+  label ticks once before its statement, as on fall-through.
 * **UB semantics.**  Overflow/shift/division/uninitialized-read checks are
-  emitted inline with the interpreter's exact messages (the raw tier's,
-  which match ``_arith_int``).
+  emitted inline with the interpreter's exact messages (those of
+  ``Interpreter._arith_int`` for ``int``).
 * **Eligibility.**  ``compile_skeleton_runner`` returns ``None`` whenever
   any construct falls outside the subset (other integer types, pointers,
-  casts, user function calls, ``goto``/labels, duplicate declared names,
-  value-position builtin calls, ...); callers fall back to the closure
-  tiers, so coverage gaps cost speed, never correctness.
+  casts, user function calls, labels below the top level of ``main``, a
+  forward ``goto`` over a declaration, duplicate declared names,
+  value-position builtin calls, ...); callers run those skeletons on the
+  interpreter, so coverage gaps cost speed, never correctness.
 
 Hole sites are compiled to reads/writes of ``HC[k]`` -- the k-th hole's
 bound cell list, resolved per vector from the skeleton binder's
@@ -44,9 +52,15 @@ from __future__ import annotations
 
 from repro.core.execution import ExecutionResult, ExecutionStatus
 from repro.minic import ast
-from repro.minic.ctypes import INT, ArrayType, IntType
+from repro.minic.ctypes import INT, LONG, ArrayType
 from repro.minic.errors import MiniCRuntimeError
-from repro.minic.interp import UndefinedBehaviour, _Timeout
+from repro.minic.interp import (
+    GOTO_JUMP_LIMIT,
+    UndefinedBehaviour,
+    _declares_into_scope,
+    _GotoSignal,
+    _Timeout,
+)
 
 _INT_MIN = -(1 << 31)
 _INT_MAX = (1 << 31) - 1
@@ -56,7 +70,7 @@ _BITWISE = ("&", "|", "^")
 
 
 class _Bail(Exception):
-    """Raised during translation when a construct leaves the raw subset."""
+    """Raised during translation when a construct leaves the subset."""
 
 
 def _is_plain_int(ctype) -> bool:
@@ -356,8 +370,8 @@ class _Emitter:
         raise _Bail(f"binary {op!r}")
 
     def _arith(self, op: str, left: str, right: str) -> str:
-        """Emit one raw arithmetic operation (operands already in temps,
-        pending ticks flushed); mirrors ``_make_raw_binary`` exactly."""
+        """Emit one ``int`` arithmetic operation (operands already in temps,
+        pending ticks flushed); mirrors ``Interpreter._arith_int`` exactly."""
         temp = self._temp()
         if op in ("+", "-", "*"):
             self._emit(f"{temp} = {left} {op} {right}")
@@ -603,6 +617,15 @@ class _Emitter:
                 raise _Bail("continue outside a loop")
             self._emit(continue_code)
             return
+        if cls is ast.Goto:
+            self._tick()
+            self._flush()
+            self._emit(f"raise _J({node.label!r})")
+            return
+        if cls is ast.Label:  # only top-level labels of main get this far
+            self._tick()
+            self._stmt(node.statement)
+            return
         raise _Bail(f"statement {cls.__name__}")
 
     def _declare(self, decl: ast.VarDecl) -> None:
@@ -626,8 +649,10 @@ class _Emitter:
                 elif not decl.is_global:
                     self._emit(f"{cells}[:] = (None,) * {size}")
                 return
-            if not _is_plain_int(var_type):
+            if var_type not in (INT, LONG):
                 raise _Bail("non-int scalar declaration")
+            # A long's int initializer stores the same value: LONG.wrap(v)
+            # is v for every int v, and reads of a long bail.
             if decl.init is not None:
                 value = self._expr(decl.init)
                 self._emit(f"{cells}[0] = {value}")
@@ -756,20 +781,31 @@ class _Emitter:
             raise _Bail("no main definition")
         if main.params:
             raise _Bail("main has parameters")
-        for node in main.body.walk():
-            if isinstance(node, (ast.Goto, ast.Label)):
-                raise _Bail("goto/label")
+        # Only an unread long is in the subset: no slot table may point a
+        # hole at a long cell, whatever site the hole sits at.
+        if any(
+            decl.var_type == LONG
+            for candidates in self._binding_maps
+            for decl in candidates.values()
+        ):
+            raise _Bail("a hole with a long candidate")
+        segments = _jump_segments(main.body)
 
         # Collect every declaration the generated code can touch (globals +
         # main's locals, in declaration order) and reject duplicate names:
         # with unique names, environment-dict scoping collapses to one fixed
-        # cell list per declaration.
+        # cell list per declaration.  A declaration that is the un-braced
+        # body of an if/while/do may never run, leaving its name undeclared
+        # in the interpreter, which no fixed cell can mirror.
         names: set[str] = set()
         for decl in unit.globals():
             self._register(decl, names)
         for node in main.body.walk():
-            if isinstance(node, ast.VarDecl):
+            cls = node.__class__
+            if cls is ast.VarDecl:
                 self._register(node, names)
+            elif cls in (ast.If, ast.While, ast.DoWhile) and _declares_into_scope(node):
+                raise _Bail("declaration as an un-braced if/loop body")
 
         header: list[str] = []
         for decl in self._decls:
@@ -792,9 +828,12 @@ class _Emitter:
         # the same per-node accounting).
         for decl in unit.globals():
             self._declare(decl)
-        self._stmt_list(main.body.items)
-        self._flush()
-        self._emit("return None")
+        if segments is None:
+            self._stmt_list(main.body.items)
+            self._flush()
+            self._emit("return None")
+        else:
+            self._dispatch(segments)
 
         body = "\n".join(header + self._lines)
         source = f"def _skeleton_main(H, HN, _ms, _out):\n{body}\n"
@@ -804,16 +843,91 @@ class _Emitter:
         for item in items:
             self._stmt(item)
 
+    def _dispatch(self, segments: list[list[ast.Stmt]]) -> None:
+        """Emit main's body as a dispatch loop over its goto segments: a
+        jump re-enters at its label's segment, skipping the earlier ones
+        without ticking."""
+        segment_of = {
+            segment[0].name: index
+            for index, segment in enumerate(segments)
+            if segment[0].__class__ is ast.Label
+        }
+        self._flush()  # global initializers tick once, outside the loop
+        self._emit(f"_seg = {segment_of!r}")
+        self._emit("_pc = 0")
+        self._emit(f"_jl = {GOTO_JUMP_LIMIT}")
+        self._emit("while True:")
+        self._indent += 1
+        self._emit("try:")
+        self._indent += 1
+        for index, segment in enumerate(segments):
+            self._emit(f"if _pc <= {index}:")
+            self._indent += 1
+            self._stmt_list(segment)
+            self._flush()
+            self._emit("pass")
+            self._indent -= 1
+        self._emit("return None")
+        self._indent -= 1
+        self._emit("except _J as _j:")
+        self._indent += 1
+        self._emit("_jl -= 1")
+        self._emit("if _jl <= 0: raise _TO()")
+        self._emit("_pc = _seg[_j.label]")
+        self._indent -= 2
+
     def _register(self, decl: ast.VarDecl, names: set[str]) -> None:
         if decl.is_param:
             raise _Bail("parameters are outside the subset")
         if decl.name in names:
             raise _Bail(f"duplicate declared name {decl.name!r}")
         names.add(decl.name)
-        if not (_is_plain_int(decl.var_type) or _is_int_array(decl.var_type)):
-            raise _Bail(f"declaration of type {decl.var_type.spelling()!r}")
+        var_type = decl.var_type
+        if var_type not in (INT, LONG) and not _is_int_array(var_type):
+            raise _Bail(f"declaration of type {var_type.spelling()!r}")
         self._slot_of[id(decl)] = len(self._decls)
         self._decls.append(decl)
+
+
+def _jump_segments(body: ast.Block) -> list[list[ast.Stmt]] | None:
+    """Split ``main``'s top-level items into dispatch segments, each label
+    starting one; ``None`` when ``main`` has no goto or label.
+
+    Bails on a label below the top level or a repeated one (the
+    interpreter resumes at the first top-level item holding the name), a
+    goto to no top-level label of ``main``, and a forward goto over a
+    top-level item that declares (a label-wrapped declaration included):
+    the jump leaves that name undeclared, or bound to a global, in the
+    interpreter, while the generated body keeps one fixed cell per
+    declaration.
+    """
+    items = body.items
+    labels = sum(1 for node in body.walk() if node.__class__ is ast.Label)
+    gotos = [
+        (index, node)
+        for index, item in enumerate(items)
+        for node in item.walk()
+        if node.__class__ is ast.Goto
+    ]
+    if not labels and not gotos:
+        return None
+    position = {
+        item.name: index for index, item in enumerate(items) if item.__class__ is ast.Label
+    }
+    if len(position) != labels:
+        raise _Bail("a repeated label, or one below the top level of main")
+    segments: list[list[ast.Stmt]] = [[]]
+    for item in items:
+        if item.__class__ is ast.Label and segments[-1]:
+            segments.append([])
+        segments[-1].append(item)
+    for index, goto in gotos:
+        target = position.get(goto.label)
+        if target is None:
+            raise _Bail(f"goto to {goto.label!r}, not a top-level label of main")
+        if any(_declares_into_scope(items[skipped]) for skipped in range(index, target)):
+            raise _Bail("a forward goto over a declaration")
+    return segments
 
 
 def _binds_continue(body: ast.Stmt) -> bool:
@@ -876,11 +990,9 @@ def _parse_printf_format(format_string: str) -> list[tuple[str, str]]:
 #: The vectorized trampoline, compiled once into each skeleton's namespace
 #: (next to ``_skeleton_main``): a whole chunk of characteristic vectors runs
 #: through one Python-level entry call, with the per-vector try/except and
-#: :class:`ExecutionResult` construction inside compiled code instead of the
-#: interpreter-visible ``run`` wrapper.  The exception ladder, the detail
-#: strings and the exit-code normalisation mirror :meth:`SkeletonRunner.run`
-#: exactly -- the vectorized tier is observationally identical to calling
-#: ``run`` per vector.
+#: :class:`ExecutionResult` construction inside compiled code.  The exception
+#: ladder, the detail strings and the exit-code normalisation mirror
+#: :meth:`repro.minic.interp.Interpreter.run` exactly.
 _BATCH_SOURCE = """\
 def _skeleton_batch(_frames, _ms, _results):
     _append = _results.append
@@ -906,35 +1018,11 @@ def _skeleton_batch(_frames, _ms, _results):
 class SkeletonRunner:
     """One compiled skeleton body plus per-vector hole-slot resolution."""
 
-    __slots__ = ("_fn", "_batch", "_hole_slots")
+    __slots__ = ("_batch", "_hole_slots")
 
-    def __init__(self, fn, hole_slots: list[dict[str, int]], batch=None):
-        self._fn = fn
+    def __init__(self, batch, hole_slots: list[dict[str, int]]):
         self._batch = batch
         self._hole_slots = hole_slots
-
-    def run(self, vector, max_steps: int = 200_000) -> ExecutionResult:
-        """Execute one characteristic vector; mirrors ``Interpreter.run``."""
-        hole_slots = self._hole_slots
-        names = tuple(vector)
-        H = tuple(hole_slots[k][name] for k, name in enumerate(names))
-        out: list[str] = []
-        try:
-            code = self._fn(H, names, max_steps, out)
-        except UndefinedBehaviour as ub:
-            return ExecutionResult(
-                ExecutionStatus.UNDEFINED, stdout="".join(out), detail=ub.reason
-            )
-        except _Timeout:
-            return ExecutionResult(
-                ExecutionStatus.TIMEOUT, stdout="".join(out), detail="step budget exhausted"
-            )
-        except MiniCRuntimeError as error:
-            return ExecutionResult(
-                ExecutionStatus.ERROR, stdout="".join(out), detail=str(error)
-            )
-        exit_code = code & 0xFF if type(code) is int else 0
-        return ExecutionResult(ExecutionStatus.OK, exit_code=exit_code, stdout="".join(out))
 
     def run_batch(self, vectors, max_steps: int = 200_000) -> list[ExecutionResult]:
         """Execute a whole batch of characteristic vectors through the one
@@ -942,14 +1030,8 @@ class SkeletonRunner:
 
         The argument frames (hole-slot tuple + name tuple per vector) are
         precomputed in bulk, then the whole batch enters the generated
-        ``_skeleton_batch`` trampoline in **one** Python call; falls back to
-        per-vector :meth:`run` for runners compiled before the vectorized
-        tier existed (pickled/cached runners without a batch function).
+        ``_skeleton_batch`` trampoline in **one** Python call.
         """
-        batch = self._batch
-        if batch is None:
-            run = self.run
-            return [run(vector, max_steps) for vector in vectors]
         hole_slots = self._hole_slots
         frames = []
         append = frames.append
@@ -959,7 +1041,7 @@ class SkeletonRunner:
                 (tuple(slots[name] for slots, name in zip(hole_slots, names)), names)
             )
         results: list[ExecutionResult] = []
-        batch(frames, max_steps, results)
+        self._batch(frames, max_steps, results)
         return results
 
 
@@ -971,8 +1053,8 @@ def compile_skeleton_runner(unit: ast.TranslationUnit, identifiers, binding_maps
         identifiers: the hole ``Identifier`` nodes, in hole order.
         binding_maps: per hole, ``candidate name -> VarDecl``.
 
-    Returns ``None`` when any construct is outside the raw subset; callers
-    fall back to the closure-compiled interpreter tiers.
+    Returns ``None`` when any construct is outside the subset; callers run
+    such skeletons on the interpreter.
     """
     hole_index = {id(node): k for k, node in enumerate(identifiers)}
     hole_initialized = [
@@ -988,6 +1070,7 @@ def compile_skeleton_runner(unit: ast.TranslationUnit, identifiers, binding_maps
         "_UB": UndefinedBehaviour,
         "_TO": _Timeout,
         "_RE": MiniCRuntimeError,
+        "_J": _GotoSignal,
         "_ONCE": (0,),
         "_R": ExecutionResult,
         "_OK": ExecutionStatus.OK,
@@ -1000,12 +1083,11 @@ def compile_skeleton_runner(unit: ast.TranslationUnit, identifiers, binding_maps
         exec(compile(_BATCH_SOURCE, "<skeleton-codegen-batch>", "exec"), namespace)
     except SyntaxError:  # loops nested over 20 deep: "too many statically nested blocks"
         return None
-    fn = namespace["_skeleton_main"]
     hole_slots = [
         {name: slot_of.get(id(decl), 0) for name, decl in candidates.items()}
         for candidates in binding_maps
     ]
-    return SkeletonRunner(fn, hole_slots, batch=namespace["_skeleton_batch"])
+    return SkeletonRunner(namespace["_skeleton_batch"], hole_slots)
 
 
 def runner_for_skeleton(skeleton) -> SkeletonRunner | None:

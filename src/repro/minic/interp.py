@@ -22,7 +22,7 @@ Non-termination is bounded by a step budget and reported as ``TIMEOUT``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.execution import ExecutionResult, ExecutionStatus
 from repro.minic import ast
@@ -43,6 +43,11 @@ from repro.minic.symbols import resolve
 # ExecutionStatus / ExecutionResult live in repro.core.execution (they are
 # shared by every frontend's reference interpreter and compiler backend);
 # they are re-exported here for backwards compatibility.
+
+
+#: Jumps one function call may take; the last one is a TIMEOUT.  The
+#: generated skeleton bodies of :mod:`repro.minic.codegen` count the same way.
+GOTO_JUMP_LIMIT = 1000
 
 
 class UndefinedBehaviour(Exception):
@@ -147,25 +152,17 @@ class LValue:
 class Interpreter:
     """AST-walking evaluator for mini-C translation units.
 
-    Two execution tiers share identical semantics:
-
-    * the *interpretive* tier dispatches per node through the
-      ``_STMT_DISPATCH``/``_EXPR_DISPATCH`` tables (and alone handles
-      ``goto`` re-entry, which needs resume labels);
-    * the *compiled* tier translates each goto-free function body **once**
-      into a tree of Python closures specialised per node type and operator
-      (literals become pre-built values, operators are selected at compile
-      time, scope forks are precomputed).  Compiled bodies are memoised in
-      ``compiled`` -- pass the same dict across runs (the campaign passes a
-      per-skeleton dict) and the translation is shared by every variant of a
-      skeleton, because closures read ``Identifier.name``/``decl`` at
-      execution time and therefore follow AST rebinding.
+    The executable specification of mini-C semantics: every node is
+    dispatched through the ``_STMT_DISPATCH``/``_EXPR_DISPATCH`` tables, one
+    step tick per statement and expression, and ``goto`` re-enters the
+    function body at its label.  The campaign's fast tier is the generated
+    skeleton body of :mod:`repro.minic.codegen`, which must agree with this
+    interpreter byte for byte; every run that tier refuses runs here.
     """
 
     __slots__ = (
         "max_steps",
         "max_call_depth",
-        "_compiled",
         "_steps",
         "_blocks",
         "_next_block",
@@ -179,17 +176,9 @@ class Interpreter:
         "_label_memo",
     )
 
-    def __init__(
-        self,
-        max_steps: int = 200_000,
-        max_call_depth: int = 200,
-        compiled: dict | None = None,
-    ) -> None:
+    def __init__(self, max_steps: int = 200_000, max_call_depth: int = 200) -> None:
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
-        # id(FunctionDef) -> list of compiled statement thunks, or None when
-        # the function must run interpretively (it contains goto/labels).
-        self._compiled = compiled if compiled is not None else {}
         self._steps = 0
         self._blocks: dict[int, Block] = {}
         self._next_block = 0
@@ -319,21 +308,11 @@ class Interpreter:
             block.cells[0] = self._coerce(arg, param.var_type)
             frame[param.name] = block
         local_blocks: list[Block] = list(frame.values())
-        key = id(function)
-        thunks = self._compiled.get(key, _UNCOMPILED)
-        if thunks is _UNCOMPILED:
-            thunks = compile_function(function)
-            self._compiled[key] = thunks
         try:
-            if thunks is not None:
-                # Compiled tier (goto-free functions): straight-line closures.
-                for thunk in thunks:
-                    thunk(self, frame, local_blocks)
-            else:
-                try:
-                    self._exec_block_items(function.body.items, frame, local_blocks)
-                except _GotoSignal as signal:
-                    self._run_with_goto(function, frame, local_blocks, signal.label)
+            try:
+                self._exec_block_items(function.body.items, frame, local_blocks)
+            except _GotoSignal as signal:
+                self._run_with_goto(function, frame, local_blocks, signal.label)
             result: Value | None = None
         except _ReturnSignal as signal:
             result = signal.value
@@ -354,8 +333,9 @@ class Interpreter:
         local_blocks: list[Block],
         label: str,
     ) -> None:
-        """Re-enter the function body at ``label`` (loops until no more gotos)."""
-        remaining_jumps = 1000
+        """Re-enter the function body at ``label`` (loops until no more gotos);
+        the call's ``GOTO_JUMP_LIMIT``-th jump is a timeout."""
+        remaining_jumps = GOTO_JUMP_LIMIT
         while True:
             remaining_jumps -= 1
             if remaining_jumps <= 0:
@@ -952,1391 +932,6 @@ _COMPARISONS = {
 }
 
 
-# -- the compiled tier: AST -> closure trees ------------------------------------------
-#
-# ``compile_function`` translates a goto-free function body into nested
-# closures, one per AST node, with everything that is invariant across
-# executions -- node type, operator, literal values, whether a block declares
-# variables -- resolved at translation time.  Tick accounting, UB checks and
-# messages replicate the interpretive tier exactly (the two tiers are
-# differentially tested against each other in the test-suite).  Identifier
-# closures read ``node.name``/``node.decl`` at execution time, so one
-# translation serves every characteristic vector a skeleton is rebound to.
-
-_UNCOMPILED = object()
-
-
-class _CannotCompile(Exception):
-    """Raised during translation for nodes the compiled tier does not handle."""
-
-
-def compile_function(function: ast.FunctionDef) -> list | None:
-    """Compile a function body to statement thunks; None -> use the interpretive tier."""
-    for node in function.body.walk():
-        if isinstance(node, (ast.Goto, ast.Label)):
-            return None
-    try:
-        cache: dict[int, object] = {}
-        return [_compile_stmt(item, cache) for item in function.body.items]
-    except _CannotCompile:
-        return None
-
-
-def _compile_stmt(stmt: ast.Stmt, cache: dict):
-    thunk = cache.get(id(stmt))
-    if thunk is None:
-        compiler = _STMT_COMPILERS.get(stmt.__class__)
-        if compiler is None:
-            raise _CannotCompile(repr(stmt))
-        thunk = compiler(stmt, cache)
-        cache[id(stmt)] = thunk
-    return thunk
-
-
-def _compile_expr(expr: ast.Expr, cache: dict):
-    thunk = cache.get(id(expr))
-    if thunk is None:
-        raw = _compile_raw(expr, cache)
-        if raw is not None:
-            # The whole subtree is raw ``int``: run it unboxed and box only
-            # this final result (the raw thunk already did the node's tick).
-            def thunk(I, env, _raw=raw):
-                return Value(INT, _raw(I, env))
-
-        else:
-            compiler = _EXPR_COMPILERS.get(expr.__class__)
-            if compiler is None:
-                raise _CannotCompile(repr(expr))
-            thunk = compiler(expr, cache)
-        cache[id(expr)] = thunk
-    return thunk
-
-
-def _compile_condition(expr: ast.Expr, cache: dict):
-    """Compile an expression used only for its truth value to a bool thunk."""
-    raw = _compile_raw(expr, cache)
-    if raw is not None:
-
-        def run_raw(I, env):
-            return raw(I, env) != 0
-
-        return run_raw
-    thunk = _compile_expr(expr, cache)
-
-    def run(I, env):
-        return thunk(I, env).truthy()
-
-    return run
-
-
-# -- the raw tier: unboxed int expressions ---------------------------------------------
-#
-# A subtree whose every leaf and operator is plain ``int`` (no suffixes,
-# pointers, arrays, casts or calls) evaluates to Python ints flowing directly
-# between closures -- no Value boxing at all.  Tick accounting and UB checks
-# (with the exact interpretive-tier messages) are inlined per operator with
-# the 32-bit signed constants folded in.  ``_compile_raw`` returns None when
-# the subtree is not raw; callers then fall back to the boxed closures.
-
-_INT_MIN = -(1 << 31)
-_INT_MAX = (1 << 31) - 1
-
-
-def _compile_raw(expr: ast.Expr, cache: dict):
-    key = ("raw", id(expr))
-    thunk = cache.get(key)
-    if thunk is None:
-        compiler = _RAW_COMPILERS.get(expr.__class__)
-        thunk = compiler(expr, cache) if compiler is not None else False
-        cache[key] = thunk
-    return thunk if thunk is not False else None
-
-
-def _is_plain_int(ctype) -> bool:
-    return ctype == INT
-
-
-def _r_int_literal(expr: ast.IntLiteral, cache):
-    if expr.suffix:
-        return False
-    value = INT.wrap(expr.value)
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        return value
-
-    return run
-
-
-def _r_char_literal(expr: ast.CharLiteral, cache):
-    value = expr.value
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        return value
-
-    return run
-
-
-def _r_identifier(expr: ast.Identifier, cache):
-    if expr.decl is None or not _is_plain_int(expr.decl.var_type):
-        return False
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        name = expr.name
-        block = env.get(name) or I._globals.get(name)
-        if block is None:
-            raise MiniCRuntimeError(f"unknown variable {name!r}")
-        cells = block.cells
-        if not cells:
-            raise UndefinedBehaviour(f"out-of-bounds read of {block.name!r}")
-        cell = cells[0]
-        if type(cell) is int:
-            return cell
-        if cell is None:
-            raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-        raise UndefinedBehaviour("use of the value of a function that did not return one")
-
-    return run
-
-
-def _r_index(expr: ast.Index, cache):
-    # ``a[i]`` where ``a`` is statically an int array and ``i`` is raw.  The
-    # +2 tick covers the Index node and the base identifier's array-decay
-    # evaluation (no observable effect happens between the two ticks).
-    base = expr.base
-    if base.__class__ is not ast.Identifier or base.decl is None:
-        return False
-    base_type = base.decl.var_type
-    if not (isinstance(base_type, ArrayType) and base_type.base == INT):
-        return False
-    index_thunk = _compile_raw(expr.index, cache)
-    if index_thunk is None:
-        return False
-
-    def run(I, env):
-        steps = I._steps + 2
-        I._steps = steps
-        if steps > I.max_steps:
-            raise _Timeout()
-        name = base.name
-        block = env.get(name) or I._globals.get(name)
-        if block is None:
-            raise MiniCRuntimeError(f"unknown variable {name!r}")
-        index = index_thunk(I, env)
-        if not block.alive:
-            raise UndefinedBehaviour("dereference of pointer to dead object")
-        cells = block.cells
-        if not 0 <= index < len(cells):
-            raise UndefinedBehaviour(
-                f"out-of-bounds access to {block.name!r} at offset {index}"
-            )
-        cell = cells[index]
-        if type(cell) is int:
-            return cell
-        if cell is None:
-            raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-        raise UndefinedBehaviour("use of the value of a function that did not return one")
-
-    return run
-
-
-def _r_unary(expr: ast.Unary, cache):
-    op = expr.op
-    if op in ("&", "*"):
-        return False
-    if op in ("++", "--"):
-        target = expr.operand
-        if (
-            target.__class__ is not ast.Identifier
-            or target.decl is None
-            or not _is_plain_int(target.decl.var_type)
-        ):
-            return False
-        delta = 1 if op == "++" else -1
-        postfix = expr.postfix
-
-        def run_incr(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            name = target.name
-            block = env.get(name) or I._globals.get(name)
-            if block is None:
-                raise MiniCRuntimeError(f"unknown variable {name!r}")
-            cells = block.cells
-            if not cells:
-                raise UndefinedBehaviour(f"out-of-bounds read of {block.name!r}")
-            old = cells[0]
-            if type(old) is not int:
-                if old is None:
-                    raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-                raise UndefinedBehaviour(
-                    "use of the value of a function that did not return one"
-                )
-            new = old + delta
-            if new < _INT_MIN or new > _INT_MAX:
-                raise UndefinedBehaviour(
-                    f"signed integer overflow: {old} + {delta} does not fit in int"
-                )
-            cells[0] = new
-            return old if postfix else new
-
-        return run_incr
-    operand = _compile_raw(expr.operand, cache)
-    if operand is None:
-        return False
-    if op == "-":
-
-        def run_neg(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            value = operand(I, env)
-            raw = -value
-            if raw < _INT_MIN or raw > _INT_MAX:
-                raise UndefinedBehaviour(
-                    f"signed integer overflow: 0 - {value} does not fit in int"
-                )
-            return raw
-
-        return run_neg
-    if op == "+":
-
-        def run_pos(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            return operand(I, env)
-
-        return run_pos
-    if op == "!":
-
-        def run_not(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            return 0 if operand(I, env) != 0 else 1
-
-        return run_not
-    if op == "~":
-
-        def run_inv(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            return ~operand(I, env)
-
-        return run_inv
-    return False
-
-
-def _make_raw_binary(op: str, left_thunk, right_thunk):
-    """One raw closure per operator; UB conditions and messages match _arith_int."""
-    if op == "+":
-
-        def run_add(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left = left_thunk(I, env)
-            right = right_thunk(I, env)
-            raw = left + right
-            if raw < _INT_MIN or raw > _INT_MAX:
-                raise UndefinedBehaviour(
-                    f"signed integer overflow: {left} + {right} does not fit in int"
-                )
-            return raw
-
-        return run_add
-    if op == "-":
-
-        def run_sub(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left = left_thunk(I, env)
-            right = right_thunk(I, env)
-            raw = left - right
-            if raw < _INT_MIN or raw > _INT_MAX:
-                raise UndefinedBehaviour(
-                    f"signed integer overflow: {left} - {right} does not fit in int"
-                )
-            return raw
-
-        return run_sub
-    if op == "*":
-
-        def run_mul(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left = left_thunk(I, env)
-            right = right_thunk(I, env)
-            raw = left * right
-            if raw < _INT_MIN or raw > _INT_MAX:
-                raise UndefinedBehaviour(
-                    f"signed integer overflow: {left} * {right} does not fit in int"
-                )
-            return raw
-
-        return run_mul
-    compare = _COMPARISONS.get(op)
-    if compare is not None:
-
-        def run_cmp(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            return 1 if compare(left_thunk(I, env), right_thunk(I, env)) else 0
-
-        return run_cmp
-    if op in ("/", "%"):
-        is_div = op == "/"
-
-        def run_div(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left = left_thunk(I, env)
-            right = right_thunk(I, env)
-            if right == 0:
-                raise UndefinedBehaviour("division by zero")
-            quotient = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                quotient = -quotient
-            if is_div:
-                if left == _INT_MIN and right == -1:
-                    raise UndefinedBehaviour("signed division overflow")
-                return quotient
-            return left - quotient * right
-
-        return run_div
-    if op in ("<<", ">>"):
-        is_left = op == "<<"
-
-        def run_shift(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left = left_thunk(I, env)
-            right = right_thunk(I, env)
-            if right < 0 or right >= 32:
-                raise UndefinedBehaviour(f"shift amount {right} out of range for int")
-            if is_left:
-                if left < 0:
-                    raise UndefinedBehaviour("left shift of a negative value")
-                raw = left << right
-                if raw > _INT_MAX:
-                    raise UndefinedBehaviour(
-                        f"signed integer overflow: {left} << {right} does not fit in int"
-                    )
-                return raw
-            return left >> right
-
-        return run_shift
-    if op in ("&", "|", "^"):
-        import operator as _operator
-
-        bit_op = {"&": _operator.and_, "|": _operator.or_, "^": _operator.xor}[op]
-
-        def run_bits(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            raw = bit_op(left_thunk(I, env) & 0xFFFFFFFF, right_thunk(I, env) & 0xFFFFFFFF)
-            return raw - 0x100000000 if raw >= 0x80000000 else raw
-
-        return run_bits
-    return None
-
-
-def _r_binary(expr: ast.Binary, cache):
-    op = expr.op
-    if op == "&&":
-        left_thunk = _compile_raw(expr.left, cache)
-        right_thunk = _compile_raw(expr.right, cache)
-        if left_thunk is None or right_thunk is None:
-            return False
-
-        def run_and(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            if left_thunk(I, env) == 0:
-                return 0
-            return 1 if right_thunk(I, env) != 0 else 0
-
-        return run_and
-    if op == "||":
-        left_thunk = _compile_raw(expr.left, cache)
-        right_thunk = _compile_raw(expr.right, cache)
-        if left_thunk is None or right_thunk is None:
-            return False
-
-        def run_or(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            if left_thunk(I, env) != 0:
-                return 1
-            return 1 if right_thunk(I, env) != 0 else 0
-
-        return run_or
-    if op == ",":
-        left_thunk = _compile_raw(expr.left, cache)
-        right_thunk = _compile_raw(expr.right, cache)
-        if left_thunk is None or right_thunk is None:
-            return False
-
-        def run_comma(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left_thunk(I, env)
-            return right_thunk(I, env)
-
-        return run_comma
-    left_thunk = _compile_raw(expr.left, cache)
-    if left_thunk is None:
-        return False
-    right_thunk = _compile_raw(expr.right, cache)
-    if right_thunk is None:
-        return False
-    thunk = _make_raw_binary(op, left_thunk, right_thunk)
-    return thunk if thunk is not None else False
-
-
-def _r_assignment(expr: ast.Assignment, cache):
-    target = expr.target
-    if target.__class__ is ast.Index:
-        return _r_index_assignment(expr, cache)
-    if (
-        target.__class__ is not ast.Identifier
-        or target.decl is None
-        or not _is_plain_int(target.decl.var_type)
-    ):
-        return False
-    value_thunk = _compile_raw(expr.value, cache)
-    if value_thunk is None:
-        return False
-    if expr.op == "=":
-
-        def run_store(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            name = target.name
-            block = env.get(name) or I._globals.get(name)
-            if block is None:
-                raise MiniCRuntimeError(f"unknown variable {name!r}")
-            stored = value_thunk(I, env)
-            block.cells[0] = stored
-            return stored
-
-        return run_store
-
-    operator_ = expr.op[:-1]
-
-    def run_compound(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        name = target.name
-        block = env.get(name) or I._globals.get(name)
-        if block is None:
-            raise MiniCRuntimeError(f"unknown variable {name!r}")
-        value = value_thunk(I, env)
-        cells = block.cells
-        if not cells:
-            raise UndefinedBehaviour(f"out-of-bounds read of {block.name!r}")
-        current = cells[0]
-        if type(current) is not int:
-            if current is None:
-                raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-            raise UndefinedBehaviour("use of the value of a function that did not return one")
-        stored = I._arith_int(INT, current, value, operator_).payload
-        cells[0] = stored
-        return stored
-
-    return run_compound
-
-
-def _r_index_assignment(expr: ast.Assignment, cache):
-    """``a[i] = v`` / ``a[i] op= v`` on a statically-int array, all-raw."""
-    target = expr.target
-    base = target.base
-    if base.__class__ is not ast.Identifier or base.decl is None:
-        return False
-    base_type = base.decl.var_type
-    if not (isinstance(base_type, ArrayType) and base_type.base == INT):
-        return False
-    index_thunk = _compile_raw(target.index, cache)
-    if index_thunk is None:
-        return False
-    value_thunk = _compile_raw(expr.value, cache)
-    if value_thunk is None:
-        return False
-    simple = expr.op == "="
-    operator_ = expr.op[:-1]
-
-    def run(I, env):
-        # +2: the Assignment node plus the base identifier's decay eval
-        # inside the target lvalue (evaluated before the value, as in the
-        # interpretive tier).
-        steps = I._steps + 2
-        I._steps = steps
-        if steps > I.max_steps:
-            raise _Timeout()
-        name = base.name
-        block = env.get(name) or I._globals.get(name)
-        if block is None:
-            raise MiniCRuntimeError(f"unknown variable {name!r}")
-        index = index_thunk(I, env)
-        if not block.alive:
-            raise UndefinedBehaviour("dereference of pointer to dead object")
-        cells = block.cells
-        if not 0 <= index < len(cells):
-            raise UndefinedBehaviour(
-                f"out-of-bounds access to {block.name!r} at offset {index}"
-            )
-        value = value_thunk(I, env)
-        if simple:
-            cells[index] = value
-            return value
-        current = cells[index]
-        if type(current) is not int:
-            if current is None:
-                raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-            raise UndefinedBehaviour("use of the value of a function that did not return one")
-        stored = I._arith_int(INT, current, value, operator_).payload
-        cells[index] = stored
-        return stored
-
-    return run
-
-
-def _r_conditional(expr: ast.Conditional, cache):
-    condition_thunk = _compile_raw(expr.condition, cache)
-    then_thunk = _compile_raw(expr.then_expr, cache)
-    else_thunk = _compile_raw(expr.else_expr, cache)
-    if condition_thunk is None or then_thunk is None or else_thunk is None:
-        return False
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        if condition_thunk(I, env) != 0:
-            return then_thunk(I, env)
-        return else_thunk(I, env)
-
-    return run
-
-
-_RAW_COMPILERS = {
-    ast.IntLiteral: _r_int_literal,
-    ast.CharLiteral: _r_char_literal,
-    ast.Identifier: _r_identifier,
-    ast.Unary: _r_unary,
-    ast.Binary: _r_binary,
-    ast.Assignment: _r_assignment,
-    ast.Conditional: _r_conditional,
-}
-
-
-# -- compiled expressions --------------------------------------------------------------
-
-
-def _c_int_literal(expr: ast.IntLiteral, cache):
-    ctype = LONG if "l" in expr.suffix else (UINT if "u" in expr.suffix else INT)
-    value = Value(ctype, ctype.wrap(expr.value) if isinstance(ctype, IntType) else expr.value)
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        return value
-
-    return run
-
-
-def _c_char_literal(expr: ast.CharLiteral, cache):
-    value = Value(INT, expr.value)
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        return value
-
-    return run
-
-
-def _c_string_literal(expr: ast.StringLiteral, cache):
-    value = Value(PointerType(INT), Pointer.null())
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        return value
-
-    return run
-
-
-def _c_identifier(expr: ast.Identifier, cache):
-    # A hole's candidate variables all share one type spelling, so whether
-    # this occurrence is an array is invariant under rebinding -- decide the
-    # decay question at translation time and emit a scalar-only fast closure
-    # for the overwhelmingly common scalar case.
-    static_type = expr.decl.var_type if expr.decl is not None else None
-    if static_type is not None and not isinstance(static_type, ArrayType):
-
-        def run_scalar(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            name = expr.name
-            block = env.get(name) or I._globals.get(name)
-            if block is None:
-                raise MiniCRuntimeError(f"unknown variable {name!r}")
-            decl = expr.decl
-            declared = decl.var_type if decl is not None else block.elem_type
-            cells = block.cells
-            if not cells:
-                raise UndefinedBehaviour(f"out-of-bounds read of {block.name!r}")
-            cell = cells[0]
-            if cell is None:
-                raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-            if cell is _MISSING_RETURN:
-                raise UndefinedBehaviour("use of the value of a function that did not return one")
-            return Value(declared, cell)
-
-        return run_scalar
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        name = expr.name
-        block = env.get(name) or I._globals.get(name)
-        if block is None:
-            raise MiniCRuntimeError(f"unknown variable {name!r}")
-        decl = expr.decl
-        declared = decl.var_type if decl is not None else block.elem_type
-        if isinstance(declared, ArrayType):
-            return Value(PointerType(declared.base), Pointer(block.id, 0))
-        cells = block.cells
-        if not cells:
-            raise UndefinedBehaviour(f"out-of-bounds read of {block.name!r}")
-        cell = cells[0]
-        if cell is None:
-            raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-        if cell is _MISSING_RETURN:
-            raise UndefinedBehaviour("use of the value of a function that did not return one")
-        return Value(declared, cell)
-
-    return run
-
-
-def _c_index(expr: ast.Index, cache):
-    base_thunk = _compile_expr(expr.base, cache)
-    index_thunk = _compile_expr(expr.index, cache)
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        base = base_thunk(I, env)
-        index = I._int_of(index_thunk(I, env))
-        payload = base.payload
-        if not isinstance(payload, Pointer):
-            raise UndefinedBehaviour("indexing a non-pointer value")
-        pointer = Pointer(payload.block_id, payload.offset + index)
-        block = I._block(pointer)
-        offset = pointer.offset
-        if not 0 <= offset < len(block.cells):
-            raise UndefinedBehaviour(
-                f"out-of-bounds access to {block.name!r} at offset {offset}"
-            )
-        element = base.ctype.base if isinstance(base.ctype, PointerType) else block.elem_type
-        cell = block.cells[offset]
-        if cell is None:
-            raise UndefinedBehaviour(f"read of uninitialized value {block.name!r}")
-        if cell is _MISSING_RETURN:
-            raise UndefinedBehaviour("use of the value of a function that did not return one")
-        return Value(element, cell)
-
-    return run
-
-
-def _c_unary(expr: ast.Unary, cache):
-    op = expr.op
-    if op == "&":
-        lvalue_thunk = _compile_lvalue(expr.operand, cache)
-
-        def run_addr(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            lvalue = lvalue_thunk(I, env)
-            return Value(PointerType(lvalue.ctype), Pointer(lvalue.block.id, lvalue.offset))
-
-        return run_addr
-    if op == "*":
-        operand_thunk = _compile_expr(expr.operand, cache)
-
-        def run_deref(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            pointer_value = operand_thunk(I, env)
-            payload = pointer_value.payload
-            if not isinstance(payload, Pointer):
-                raise UndefinedBehaviour("dereference of a non-pointer value")
-            block = I._block(payload)
-            target = (
-                pointer_value.ctype.base
-                if isinstance(pointer_value.ctype, PointerType)
-                else block.elem_type
-            )
-            return I._load(LValue(block, payload.offset, target))
-
-        return run_deref
-    if op in ("++", "--"):
-        lvalue_thunk = _compile_lvalue(expr.operand, cache)
-        delta = 1 if op == "++" else -1
-        postfix = expr.postfix
-
-        def run_incr(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            lvalue = lvalue_thunk(I, env)
-            old = I._load(lvalue)
-            if isinstance(old.payload, Pointer):
-                new = Value(old.ctype, Pointer(old.payload.block_id, old.payload.offset + delta))
-            else:
-                new = I._arith_int(old.ctype, old.payload, delta, "+")
-            I._store(lvalue, new)
-            return old if postfix else new
-
-        return run_incr
-
-    operand_thunk = _compile_expr(expr.operand, cache)
-    if op == "-":
-
-        def run_neg(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            operand = operand_thunk(I, env)
-            return I._arith_int(operand.ctype, 0, I._int_of(operand), "-")
-
-        return run_neg
-    if op == "+":
-
-        def run_pos(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            operand = operand_thunk(I, env)
-            return Value(operand.ctype, I._int_of(operand))
-
-        return run_pos
-    if op == "!":
-
-        def run_not(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            return Value(INT, 0 if operand_thunk(I, env).truthy() else 1)
-
-        return run_not
-    if op == "~":
-
-        def run_inv(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            operand = operand_thunk(I, env)
-            ctype = operand.ctype if isinstance(operand.ctype, IntType) else INT
-            return Value(ctype, ctype.wrap(~I._int_of(operand)))
-
-        return run_inv
-    raise _CannotCompile(f"unary {op!r}")
-
-
-def _c_binary(expr: ast.Binary, cache):
-    op = expr.op
-    if op == "&&":
-        left_thunk = _compile_expr(expr.left, cache)
-        right_thunk = _compile_expr(expr.right, cache)
-
-        def run_and(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            if not left_thunk(I, env).truthy():
-                return Value(INT, 0)
-            return Value(INT, 1 if right_thunk(I, env).truthy() else 0)
-
-        return run_and
-    if op == "||":
-        left_thunk = _compile_expr(expr.left, cache)
-        right_thunk = _compile_expr(expr.right, cache)
-
-        def run_or(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            if left_thunk(I, env).truthy():
-                return Value(INT, 1)
-            return Value(INT, 1 if right_thunk(I, env).truthy() else 0)
-
-        return run_or
-    if op == ",":
-        left_thunk = _compile_expr(expr.left, cache)
-        right_thunk = _compile_expr(expr.right, cache)
-
-        def run_comma(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left_thunk(I, env)
-            return right_thunk(I, env)
-
-        return run_comma
-
-    left_thunk = _compile_expr(expr.left, cache)
-    right_thunk = _compile_expr(expr.right, cache)
-    compare = _COMPARISONS.get(op)
-    if compare is not None:
-
-        def run_cmp(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            left = left_thunk(I, env)
-            right = right_thunk(I, env)
-            lp = left.payload
-            rp = right.payload
-            if type(lp) is int and type(rp) is int:
-                return Value(INT, 1 if compare(lp, rp) else 0)
-            if isinstance(lp, Pointer) or isinstance(rp, Pointer):
-                return I._pointer_binary(op, left, right)
-            return Value(INT, 1 if compare(I._int_of(left), I._int_of(right)) else 0)
-
-        return run_cmp
-
-    # Operand types are almost always identity-stable across evaluations of
-    # one node (they come from declarations and literals), so memoise the
-    # usual-arithmetic-conversion by identity in the closure cells.
-    memo_left = memo_right = memo_type = None
-
-    def run_arith(I, env):
-        nonlocal memo_left, memo_right, memo_type
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        left = left_thunk(I, env)
-        right = right_thunk(I, env)
-        lp = left.payload
-        rp = right.payload
-        lc = left.ctype
-        rc = right.ctype
-        if lc is not memo_left or rc is not memo_right:
-            memo_left, memo_right = lc, rc
-            memo_type = _arithmetic_result_type(lc, rc)
-        if type(lp) is int and type(rp) is int:
-            return I._arith_int(memo_type, lp, rp, op)
-        if isinstance(lp, Pointer) or isinstance(rp, Pointer):
-            return I._pointer_binary(op, left, right)
-        return I._arith_int(memo_type, I._int_of(left), I._int_of(right), op)
-
-    return run_arith
-
-
-def _c_assignment(expr: ast.Assignment, cache):
-    value_thunk = _compile_expr(expr.value, cache)
-    target = expr.target
-    if expr.op == "=" and target.__class__ is ast.Identifier:
-        # Scalar-store fast path: the by-far hottest assignment shape.
-        def run_simple(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            name = target.name
-            block = env.get(name) or I._globals.get(name)
-            if block is None:
-                raise MiniCRuntimeError(f"unknown variable {name!r}")
-            decl = target.decl
-            declared = decl.var_type if decl is not None else block.elem_type
-            value = value_thunk(I, env)
-            payload = value.payload
-            if type(payload) is int and declared.__class__ is IntType:
-                stored = declared.wrap(payload)
-            else:
-                stored = I._coerce(value, declared)
-            block.cells[0] = stored
-            return Value(declared, stored)
-
-        return run_simple
-
-    lvalue_thunk = _compile_lvalue(target, cache)
-    if expr.op == "=":
-
-        def run_store(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            lvalue = lvalue_thunk(I, env)
-            value = value_thunk(I, env)
-            stored = I._coerce(value, lvalue.ctype)
-            lvalue.block.cells[lvalue.offset] = stored
-            return Value(lvalue.ctype, stored)
-
-        return run_store
-
-    operator = expr.op[:-1]
-
-    def run_compound(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        lvalue = lvalue_thunk(I, env)
-        value = value_thunk(I, env)
-        current = I._load(lvalue)
-        if isinstance(current.payload, Pointer):
-            if operator not in ("+", "-"):
-                raise UndefinedBehaviour("invalid compound assignment on a pointer")
-            delta = I._int_of(value) if operator == "+" else -I._int_of(value)
-            value = Value(
-                current.ctype, Pointer(current.payload.block_id, current.payload.offset + delta)
-            )
-        else:
-            result_type = current.ctype if isinstance(current.ctype, IntType) else INT
-            value = I._arith_int(result_type, I._int_of(current), I._int_of(value), operator)
-        stored = I._coerce(value, lvalue.ctype)
-        lvalue.block.cells[lvalue.offset] = stored
-        return Value(lvalue.ctype, stored)
-
-    return run_compound
-
-
-def _c_conditional(expr: ast.Conditional, cache):
-    condition_thunk = _compile_condition(expr.condition, cache)
-    then_thunk = _compile_expr(expr.then_expr, cache)
-    else_thunk = _compile_expr(expr.else_expr, cache)
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        if condition_thunk(I, env):
-            return then_thunk(I, env)
-        return else_thunk(I, env)
-
-    return run
-
-
-def _c_cast(expr: ast.Cast, cache):
-    operand_thunk = _compile_expr(expr.operand, cache)
-    target_type = expr.target_type
-
-    def run(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        return I._coerce_value(operand_thunk(I, env), target_type)
-
-    return run
-
-
-def _c_call(expr: ast.Call, cache):
-    callee = expr.callee
-    if callee == "printf":
-
-        def run_printf(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            return I._builtin_printf(expr, env)
-
-        return run_printf
-    if callee in ("abort", "__builtin_abort"):
-
-        def run_abort(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            raise _ExitProgram(134)
-
-        return run_abort
-    if callee == "exit":
-        arg_thunks = [_compile_expr(arg, cache) for arg in expr.args]
-
-        def run_exit(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            code = I._int_of(arg_thunks[0](I, env)) if arg_thunks else 0
-            raise _ExitProgram(code)
-
-        return run_exit
-    if callee == "putchar":
-        arg_thunks = [_compile_expr(arg, cache) for arg in expr.args]
-
-        def run_putchar(I, env):
-            I._steps += 1
-            if I._steps > I.max_steps:
-                raise _Timeout()
-            value = I._int_of(arg_thunks[0](I, env)) if arg_thunks else 0
-            I._stdout.append(chr(value & 0xFF))
-            return Value(INT, value)
-
-        return run_putchar
-
-    arg_thunks = [_compile_expr(arg, cache) for arg in expr.args]
-
-    def run_call(I, env):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        function = I._functions.get(callee)
-        if function is None:
-            raise MiniCRuntimeError(f"call of undefined function {callee!r}")
-        args = [thunk(I, env) for thunk in arg_thunks]
-        result = I._call_function(function, args)
-        if result is None:
-            return Value(INT, 0)
-        return result
-
-    return run_call
-
-
-_EXPR_COMPILERS = {
-    ast.IntLiteral: _c_int_literal,
-    ast.CharLiteral: _c_char_literal,
-    ast.StringLiteral: _c_string_literal,
-    ast.Identifier: _c_identifier,
-    ast.Index: _c_index,
-    ast.Unary: _c_unary,
-    ast.Binary: _c_binary,
-    ast.Assignment: _c_assignment,
-    ast.Conditional: _c_conditional,
-    ast.Cast: _c_cast,
-    ast.Call: _c_call,
-}
-
-
-# -- compiled lvalues ------------------------------------------------------------------
-# Lvalue thunks mirror Interpreter._lvalue: they tick only for sub-expression
-# *evaluations*, never for the lvalue node itself.
-
-
-def _compile_lvalue(expr: ast.Expr, cache: dict):
-    if expr.__class__ is ast.Identifier:
-
-        def run_var(I, env):
-            block = env.get(expr.name) or I._globals.get(expr.name)
-            if block is None:
-                raise MiniCRuntimeError(f"unknown variable {expr.name!r}")
-            declared = expr.decl.var_type if expr.decl is not None else block.elem_type
-            return LValue(block, 0, declared)
-
-        return run_var
-    if expr.__class__ is ast.Index:
-        base_thunk = _compile_expr(expr.base, cache)
-        index_thunk = _compile_expr(expr.index, cache)
-
-        def run_elem(I, env):
-            base = base_thunk(I, env)
-            index = I._int_of(index_thunk(I, env))
-            if not isinstance(base.payload, Pointer):
-                raise UndefinedBehaviour("indexing a non-pointer value")
-            pointer = Pointer(base.payload.block_id, base.payload.offset + index)
-            block = I._block(pointer)
-            if not (0 <= pointer.offset < block.size):
-                raise UndefinedBehaviour(
-                    f"out-of-bounds access to {block.name!r} at offset {pointer.offset}"
-                )
-            element = base.ctype.base if isinstance(base.ctype, PointerType) else block.elem_type
-            return LValue(block, pointer.offset, element)
-
-        return run_elem
-    if expr.__class__ is ast.Unary and expr.op == "*":
-        operand_thunk = _compile_expr(expr.operand, cache)
-
-        def run_deref(I, env):
-            pointer_value = operand_thunk(I, env)
-            if not isinstance(pointer_value.payload, Pointer):
-                raise UndefinedBehaviour("dereference of a non-pointer value")
-            block = I._block(pointer_value.payload)
-            offset = pointer_value.payload.offset
-            if not (0 <= offset < block.size):
-                raise UndefinedBehaviour(
-                    f"out-of-bounds dereference of pointer into {block.name!r}"
-                )
-            element = (
-                pointer_value.ctype.base
-                if isinstance(pointer_value.ctype, PointerType)
-                else block.elem_type
-            )
-            return LValue(block, offset, element)
-
-        return run_deref
-
-    def run_invalid(I, env):
-        raise UndefinedBehaviour("assignment target is not an lvalue")
-
-    return run_invalid
-
-
-# -- compiled statements ---------------------------------------------------------------
-# Statement thunks take (I, env, local_blocks); control flow uses the same
-# signal exceptions as the interpretive tier.  Every thunk ticks once and
-# records itself in ``executed_statements``, exactly like _exec_stmt.
-
-
-def _c_stmt_block(stmt: ast.Block, cache):
-    item_thunks = [_compile_stmt(item, cache) for item in stmt.items]
-    needs_scope = any(_declares_into_scope(item) for item in stmt.items)
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        scope_env = dict(env) if needs_scope else env
-        for thunk in item_thunks:
-            thunk(I, scope_env, local_blocks)
-
-    return run
-
-
-def _c_stmt_decl(stmt: ast.DeclStmt, cache):
-    stmt_id = id(stmt)
-    decls = stmt.decls
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        for decl in decls:
-            I._declare_variable(decl, env, is_global=False)
-            local_blocks.append(env[decl.name])
-
-    return run
-
-
-def _c_stmt_expr(stmt: ast.ExprStmt, cache):
-    # The expression's value is discarded, so a raw subtree runs fully
-    # unboxed -- for ``x = ...;`` statements not even the result is built.
-    expr_thunk = _compile_raw(stmt.expr, cache) or _compile_expr(stmt.expr, cache)
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        expr_thunk(I, env)
-
-    return run
-
-
-def _c_stmt_empty(stmt: ast.Empty, cache):
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-
-    return run
-
-
-def _c_stmt_if(stmt: ast.If, cache):
-    condition_thunk = _compile_condition(stmt.condition, cache)
-    then_thunk = _compile_stmt(stmt.then_branch, cache)
-    else_thunk = _compile_stmt(stmt.else_branch, cache) if stmt.else_branch is not None else None
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        if condition_thunk(I, env):
-            then_thunk(I, env, local_blocks)
-        elif else_thunk is not None:
-            else_thunk(I, env, local_blocks)
-
-    return run
-
-
-def _c_stmt_while(stmt: ast.While, cache):
-    condition_thunk = _compile_condition(stmt.condition, cache)
-    body_thunk = _compile_stmt(stmt.body, cache)
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        max_steps = I.max_steps
-        while True:
-            I._steps += 1
-            if I._steps > max_steps:
-                raise _Timeout()
-            if not condition_thunk(I, env):
-                break
-            try:
-                body_thunk(I, env, local_blocks)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-
-    return run
-
-
-def _c_stmt_do_while(stmt: ast.DoWhile, cache):
-    condition_thunk = _compile_condition(stmt.condition, cache)
-    body_thunk = _compile_stmt(stmt.body, cache)
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        max_steps = I.max_steps
-        while True:
-            I._steps += 1
-            if I._steps > max_steps:
-                raise _Timeout()
-            try:
-                body_thunk(I, env, local_blocks)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            if not condition_thunk(I, env):
-                break
-
-    return run
-
-
-def _c_stmt_for(stmt: ast.For, cache):
-    init_thunk = _compile_stmt(stmt.init, cache) if stmt.init is not None else None
-    condition_thunk = _compile_condition(stmt.condition, cache) if stmt.condition is not None else None
-    step_thunk = (
-        (_compile_raw(stmt.step, cache) or _compile_expr(stmt.step, cache))
-        if stmt.step is not None
-        else None
-    )
-    body_thunk = _compile_stmt(stmt.body, cache)
-    needs_scope = _declares_into_scope(stmt.init) or _declares_into_scope(stmt.body)
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        scope_env = dict(env) if needs_scope else env
-        if init_thunk is not None:
-            init_thunk(I, scope_env, local_blocks)
-        max_steps = I.max_steps
-        while True:
-            I._steps += 1
-            if I._steps > max_steps:
-                raise _Timeout()
-            if condition_thunk is not None and not condition_thunk(I, scope_env):
-                break
-            try:
-                body_thunk(I, scope_env, local_blocks)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            if step_thunk is not None:
-                step_thunk(I, scope_env)
-
-    return run
-
-
-def _c_stmt_return(stmt: ast.Return, cache):
-    value_thunk = _compile_expr(stmt.value, cache) if stmt.value is not None else None
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        if value_thunk is None:
-            raise _ReturnSignal(None)
-        raise _ReturnSignal(value_thunk(I, env))
-
-    return run
-
-
-def _c_stmt_break(stmt: ast.Break, cache):
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        raise _BreakSignal()
-
-    return run
-
-
-def _c_stmt_continue(stmt: ast.Continue, cache):
-    stmt_id = id(stmt)
-
-    def run(I, env, local_blocks):
-        I._steps += 1
-        if I._steps > I.max_steps:
-            raise _Timeout()
-        I.executed_statements.add(stmt_id)
-        raise _ContinueSignal()
-
-    return run
-
-
-_STMT_COMPILERS = {
-    ast.Block: _c_stmt_block,
-    ast.DeclStmt: _c_stmt_decl,
-    ast.ExprStmt: _c_stmt_expr,
-    ast.Empty: _c_stmt_empty,
-    ast.If: _c_stmt_if,
-    ast.While: _c_stmt_while,
-    ast.DoWhile: _c_stmt_do_while,
-    ast.For: _c_stmt_for,
-    ast.Return: _c_stmt_return,
-    ast.Break: _c_stmt_break,
-    ast.Continue: _c_stmt_continue,
-}
-
-
 def _declares_into_scope(stmt: ast.Stmt | None) -> bool:
     """Whether executing ``stmt`` can write a declaration into the *caller's*
     environment dict.
@@ -2403,25 +998,21 @@ def run_source(source: str, max_steps: int = 200_000) -> ExecutionResult:
 
 
 def run_unit(
-    unit: ast.TranslationUnit,
-    max_steps: int = 200_000,
-    entry: str = "main",
-    compiled: dict | None = None,
+    unit: ast.TranslationUnit, max_steps: int = 200_000, entry: str = "main"
 ) -> ExecutionResult:
     """Interpret an already-parsed *and resolved* translation unit.
 
     The parse-once campaign path uses this on skeleton ASTs rebound to a
     characteristic vector: the unit's identifier ``decl``/``ctype`` links
-    must be up to date (``Skeleton.bind`` maintains them).  Pass the same
-    ``compiled`` dict across calls to reuse the closure-compiled function
-    bodies (the campaign keeps one per skeleton, shared by all variants).
+    must be up to date (``Skeleton.bind`` maintains them).
     """
-    return Interpreter(max_steps=max_steps, compiled=compiled).run(unit, entry=entry)
+    return Interpreter(max_steps=max_steps).run(unit, entry=entry)
 
 
 __all__ = [
     "ExecutionResult",
     "ExecutionStatus",
+    "GOTO_JUMP_LIMIT",
     "Interpreter",
     "UndefinedBehaviour",
     "run_source",

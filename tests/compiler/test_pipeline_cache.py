@@ -86,6 +86,27 @@ class TestSharedRecords:
         for outcome in (first, second):
             assert outcome.triggered_faults == ["cfg-retain-garbage-block"]
 
+    @pytest.mark.parametrize(
+        "first, second", [("scc-trunk", "scc-4.8"), ("lcc-trunk", "lcc-3.6")]
+    )
+    def test_subtraction_free_run_shared_across_cse_fault(self, first, second):
+        # Only the first of each pair carries cse-commutes-sub.  CSE asks
+        # for it at the first subtraction, so a function with none leaves
+        # it out of the transcript and the second version reuses the run.
+        faults = {
+            version: {fault.id for fault in get_version(version).faults}
+            for version in (first, second)
+        }
+        assert "cse-commutes-sub" in faults[first] - faults[second]
+        variant = _variant(
+            "int main() { int a = 3, b = 4; int c = a + b; c = c * a; "
+            "if (c > b) c = c + a * b; return c; }"
+        )
+        cache = PipelineCache()
+        outcomes = [_cached(version, 3, cache).compile_variant(variant) for version in (first, second)]
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert str(outcomes[0].module) == str(outcomes[1].module)
+
 
 def _matrix(frontend):
     """Every registered version of the frontend's lineages, plus reference."""

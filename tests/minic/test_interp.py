@@ -133,12 +133,11 @@ class TestMissingReturnValue:
         assert result.detail == self.DETAIL
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("compiled", [None, {}], ids=["fresh", "shared-cache"])
-    def test_run_unit(self, shape, compiled):
+    def test_run_unit(self, shape):
         unit = parse(self.PRELUDE + self.SHAPES[shape])
         resolve(unit)
-        for _ in range(2):  # the second run reuses a shared cache's bodies
-            result = run_unit(unit, compiled=compiled)
+        for _ in range(2):  # a second run of the same unit classifies alike
+            result = run_unit(unit)
             assert result.status is ExecutionStatus.UNDEFINED
             assert result.detail == self.DETAIL
 
@@ -157,9 +156,9 @@ class TestBlockScopeContainment:
 
     Regression: the environment-fork elision must treat a DeclStmt reachable
     through non-block statements (``if (c) int x = 2;``) as declaring into
-    the enclosing block, in both the interpretive and compiled tiers --
-    otherwise the declaration rebinds the outer variable and the reference
-    interpreter diverges from the compiler pipeline.
+    the enclosing block -- otherwise the declaration rebinds the outer
+    variable and the reference interpreter diverges from the compiler
+    pipeline.
     """
 
     SOURCE = """
@@ -172,19 +171,8 @@ int main(void) {
 }
 """
 
-    def test_compiled_tier_contains_declaration(self):
+    def test_declaration_under_if_body(self):
         result = status_of(self.SOURCE)
-        assert result.ok and result.exit_code == 1
-
-    def test_interpretive_tier_contains_declaration(self):
-        from repro.minic.interp import Interpreter
-        from repro.minic.parser import parse
-        from repro.minic.symbols import resolve
-
-        unit = parse(self.SOURCE)
-        resolve(unit)
-        interp = Interpreter(compiled={id(fn): None for fn in unit.functions()})
-        result = interp.run(unit)
         assert result.ok and result.exit_code == 1
 
     def test_declaration_under_while_body(self):
