@@ -10,10 +10,10 @@ The headline assertion is that between-pass verification costs less than
 10% of campaign wall clock: the verifier only runs after passes that
 changed the module (plus simplify-cfg for the unreachable-block rule), and
 the pipeline cache replays verified outcomes without re-verifying.  The
-sanitizer classifies one AST walk per distinct (skeleton, vector) pair and
-is cached, so it stays in the same band.  Each configuration is timed as
-the minimum of a few repeats, which filters the one-sided scheduler noise
-that would otherwise dominate single-shot wall-clock ratios.
+sanitizer makes one AST walk per gated variant, so it stays in the same
+band.  Each configuration is timed as the minimum of a few repeats, which
+filters the one-sided scheduler noise that would otherwise dominate
+single-shot wall-clock ratios.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def test_static_analysis_overhead(run_once, benchmark):
     # The design target: between-pass verification and the sanitizer gate
     # each cost under 10% of campaign wall clock.  Min-of-repeats keeps the
     # comparison out of scheduler-noise territory; a regression that
-    # re-verifies unchanged modules or re-walks cached verdicts measures in
-    # integer multiples of the baseline, far past this line.
+    # re-verifies unchanged modules or walks a variant more than once
+    # measures in integer multiples of the baseline, far past this line.
     assert verify_overhead < 10.0, f"IR verification overhead {verify_overhead}%"
     assert sanitize_overhead < 10.0, f"sanitizer overhead {sanitize_overhead}%"

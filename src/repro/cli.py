@@ -173,11 +173,10 @@ def _stats_ratio(label: str, hits: int, total: int) -> str | None:
 def cache_stats_line(cache_stats: dict[str, int]) -> str | None:
     """The ``# cache:`` stderr line for a campaign result, or ``None``.
 
-    Byte-identical to the historical inline format: one cell per cache that
-    saw any traffic, ``None`` when none did.
+    One cell per cache that saw any traffic, ``None`` when none did.
     """
     parts = []
-    for label in ("module", "pipeline", "reference"):
+    for label in ("module", "pipeline"):
         hits = cache_stats.get(f"{label}_hits", 0)
         misses = cache_stats.get(f"{label}_misses", 0)
         part = _stats_ratio(label, hits, hits + misses)
@@ -191,24 +190,16 @@ def cache_stats_line(cache_stats: dict[str, int]) -> str | None:
 def sanitizer_stats_line(cache_stats: dict[str, int]) -> str | None:
     """The ``# sanitizer:`` stderr line for a campaign result, or ``None``.
 
-    ``cache`` is the verdict-cache hit rate, ``tainted`` the gate's filter
-    rate over all gated variants.  ``None`` whenever the sanitizer never ran
-    (the gate off), keeping gate-off output byte-identical.
+    ``tainted`` is the gate's filter rate over all gated variants.  ``None``
+    whenever the sanitizer never ran (the gate off), keeping gate-off output
+    byte-identical.
     """
-    hits = cache_stats.get("sanitizer_hits", 0)
-    misses = cache_stats.get("sanitizer_misses", 0)
     tainted = cache_stats.get("sanitizer_tainted", 0)
     clean = cache_stats.get("sanitizer_clean", 0)
-    parts = []
-    for part in (
-        _stats_ratio("cache", hits, hits + misses),
-        _stats_ratio("tainted", tainted, tainted + clean),
-    ):
-        if part is not None:
-            parts.append(part)
-    if not parts:
+    part = _stats_ratio("tainted", tainted, tainted + clean)
+    if part is None:
         return None
-    return f"# sanitizer: {'  '.join(parts)}"
+    return f"# sanitizer: {part}"
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -266,7 +257,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         bisect_bugs=args.bisect,
         batch_size=max(0, args.batch_size),
         cache_pipeline_results=not args.no_pipeline_cache,
-        shared_memory=not args.no_shared_memory,
         unit_timeout=args.unit_timeout,
         max_retries=args.max_retries,
         on_fault=args.on_fault,
@@ -640,12 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
              "shares a run on one pre-optimization module between versions "
              "whose seeded faults answer its fault queries alike (every "
              "variant re-runs the full pass pipeline)",
-    )
-    campaign.add_argument(
-        "--no-shared-memory", action="store_true",
-        help="ship the preloaded corpus to pooled workers over pickled "
-             "initargs instead of one shared-memory segment (the legacy "
-             "fan-out protocol; observable results are identical either way)",
     )
     campaign.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",

@@ -405,9 +405,6 @@ class IRFunction:
     def block(self, label: str) -> BasicBlock:
         return self.blocks[label]
 
-    def block_order(self) -> list[str]:
-        return list(self.blocks)
-
     def instructions(self) -> Iterator[Instr]:
         for block in self.blocks.values():
             yield from block.instructions

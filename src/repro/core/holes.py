@@ -198,9 +198,6 @@ class Skeleton:
                 names.append(hole.function)
         return names
 
-    def holes_of_function(self, function: str | None) -> list[Hole]:
-        return [hole for hole in self.holes if hole.function == function]
-
     def hole_types(self) -> set[str]:
         return {hole.type for hole in self.holes}
 

@@ -119,12 +119,6 @@ class EnumerationProblem:
         first = self.holes[0].class_ids
         return len(first) == 1 and all(hole.class_ids == first for hole in self.holes)
 
-    def skeleton_indices(self) -> list[int]:
-        return [
-            hole.skeleton_index if hole.skeleton_index >= 0 else hole.index
-            for hole in self.holes
-        ]
-
 
 def _class_key(scope_id: int, type_name: str) -> tuple[int, str]:
     return (scope_id, type_name)

@@ -189,12 +189,6 @@ class Frontend(abc.ABC):
     def build_corpus(self, files: int = 25, seed: int = 2017) -> dict[str, str]:
         """The language's default campaign corpus (name -> source)."""
 
-    # -- conveniences -------------------------------------------------------
-
-    def render_vector(self, skeleton: Skeleton, vector: Sequence[str]) -> str:
-        """Realize one characteristic vector to source text."""
-        return skeleton.realize(vector)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 

@@ -29,18 +29,6 @@ class CType:
         return self.spelling()
 
     @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
-
-    @property
     def is_void(self) -> bool:
         return isinstance(self, VoidType)
 

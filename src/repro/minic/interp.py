@@ -126,11 +126,6 @@ class Value:
     ctype: CType
     payload: "int | Pointer"
 
-    def as_int(self) -> int:
-        if isinstance(self.payload, Pointer):
-            raise UndefinedBehaviour("pointer used where an integer is required")
-        return self.payload
-
     def truthy(self) -> bool:
         if isinstance(self.payload, Pointer):
             return not self.payload.is_null

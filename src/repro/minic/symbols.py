@@ -46,9 +46,6 @@ class SymbolTable:
     # are a simple comparison.
     declaration_order: dict[int, int] = field(default_factory=dict)
 
-    def uses_in_function(self, name: str | None) -> list[VariableUse]:
-        return [use for use in self.uses if use.function == name]
-
 
 class _Resolver:
     def __init__(self) -> None:

@@ -51,7 +51,6 @@ from typing import Any, Iterator
 
 from repro.store.journal import (
     QuarantineRecord,
-    TriageRecord,
     UnitRecord,
     complete_prefix_length,
     fold_quarantine_records,
@@ -575,25 +574,6 @@ class CampaignDatabase:
                 kind=row["kind"],
                 attempts=row["attempts"],
                 detail=row["detail"],
-            )
-        return records
-
-    def triage_map(self, journal_id: int) -> dict[str, TriageRecord]:
-        """The effective triage record per bug id, from the derived table."""
-        records: dict[str, TriageRecord] = {}
-        for row in self._conn.execute(
-            "SELECT * FROM triage WHERE journal_id = ?", (journal_id,)
-        ):
-            records[row["bug_id"]] = TriageRecord(
-                bug_id=row["bug_id"],
-                kind=row["kind"],
-                reduced_program=(
-                    self.source_text(row["reduced_sha"])
-                    if row["reduced_sha"] is not None
-                    else None
-                ),
-                introduced_in=row["introduced_in"],
-                stats=json.loads(row["stats"]),
             )
         return records
 

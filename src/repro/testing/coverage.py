@@ -14,7 +14,7 @@ role of "lines" (finer units).  Both are monotone under adding programs, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.compiler.driver import Compiler
 from repro.compiler.pipeline import OptimizationLevel
@@ -87,10 +87,6 @@ class CoverageMeter:
             for event, count in outcome.coverage.counts.items():
                 report.line_events.add((event, _bucket(count)))
         return report
-
-    def measure_each(self, programs: Sequence[str]) -> list[CoverageReport]:
-        """Per-program coverage reports (used by the ablation benchmarks)."""
-        return [self.measure([program]) for program in programs]
 
 
 def _bucket(count: int) -> int:

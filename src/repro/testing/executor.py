@@ -20,17 +20,14 @@ process) until :meth:`ProcessPoolExecutor.close` -- the executor is a
 context manager, and the harness closes executors it created itself.  A
 campaign's corpus can be *preloaded* into the workers once via
 :meth:`ProcessPoolExecutor.preload`: sources travel keyed by content sha
-through the pool initializer, and shard payloads then reference them by sha
-instead of re-pickling source text per unit (see
-``harness._Payloads``/``harness._run_shard_payload``).  Preloading is
-content-addressed and cumulative, so reusing one executor across campaigns
-only respawns the pool when genuinely new sources appear.  By default the
-preloaded corpus travels through one ``multiprocessing.shared_memory``
-segment that every worker maps (source text is decoded lazily per lookup);
-the pickle-through-initializer protocol remains as the automatic fallback
-and as the ``shared_memory=False`` opt-out.  The parent owns the segment:
-workers attach untracked, supervisor ``kill_workers`` respawns re-attach
-the same segment, and ``close`` unlinks it.
+through the pool initializer's arguments (workers started by ``fork``, the
+Linux default before Python 3.14, inherit them without pickling), and shard
+payloads then reference them by sha instead of re-pickling source text per
+unit (see ``harness._Payloads``/``harness._run_shard_payload``).
+Preloading is content-addressed and cumulative, so reusing one executor
+across campaigns only respawns the pool when genuinely new sources appear,
+and supervisor ``kill_workers`` respawns re-run the initializer with the
+same corpus.
 
 Both backends expose the same ``map(fn, items)`` surface, so anything
 shaped like that (e.g. an MPI or job-queue adapter) can be plugged into
@@ -50,17 +47,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import inspect
-import json
 import os
-import struct
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from concurrent.futures.process import BrokenProcessPool
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - minimal builds
-    _shm = None
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
@@ -75,54 +65,9 @@ CompletedCallback = Callable[[_Result], None]
 _WORKER_SOURCES: dict[str, str] = {}
 
 
-#: Shared-memory corpus view attached by the pool initializer:
-#: ``(segment, sha -> (offset, length), blob base offset)``.  Source text is
-#: decoded lazily on first :func:`worker_source` lookup (and memoized into
-#: ``_WORKER_SOURCES``), so a worker only ever pays for the sources its own
-#: shards reference.  Only ever written in worker processes.
-_WORKER_SEGMENT: tuple[object, dict[str, tuple[int, int]], int] | None = None
-
-#: Segment layout: 8-byte big-endian index length, a compact-JSON index
-#: ``{sha: [offset, length]}`` (offsets relative to the blob area), then the
-#: concatenated utf-8 source blobs.
-_SEGMENT_HEADER = struct.Struct(">Q")
-
-
 def _install_worker_sources(sources: dict[str, str]) -> None:
-    """Pool initializer (pickle protocol): runs once per worker at spawn."""
+    """Pool initializer: runs once per worker at spawn."""
     _WORKER_SOURCES.update(sources)
-
-
-def _install_worker_segment(name: str) -> None:
-    """Pool initializer (shared-memory protocol): attach the corpus segment.
-
-    The attachment is deliberately *untracked* -- the parent owns the
-    segment's lifetime (it unlinks on :meth:`ProcessPoolExecutor.close`), so
-    a worker exiting (or being SIGKILLed by the supervisor) must neither
-    unlink the segment nor leave a resource-tracker leak warning behind.
-    """
-    global _WORKER_SEGMENT
-    try:
-        segment = _shm.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13 has no track=
-        # Attach without talking to the resource tracker at all: workers
-        # share the parent's tracker process, so an unregister sent from
-        # here would erase the *parent's* registration and break its
-        # eventual unlink.  Suppressing the (attach-path) register leaves
-        # the tracker state exactly as the parent set it up.
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            segment = _shm.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    (index_length,) = _SEGMENT_HEADER.unpack_from(segment.buf, 0)
-    base = _SEGMENT_HEADER.size + index_length
-    raw = json.loads(bytes(segment.buf[_SEGMENT_HEADER.size : base]).decode("utf-8"))
-    index = {sha: (int(offset), int(length)) for sha, (offset, length) in raw.items()}
-    _WORKER_SEGMENT = (segment, index, base)
 
 
 def worker_source(sha: str) -> str:
@@ -130,36 +75,10 @@ def worker_source(sha: str) -> str:
     text = _WORKER_SOURCES.get(sha)
     if text is not None:
         return text
-    if _WORKER_SEGMENT is not None:
-        segment, index, base = _WORKER_SEGMENT
-        entry = index.get(sha)
-        if entry is not None:
-            offset, length = entry
-            start = base + offset
-            text = bytes(segment.buf[start : start + length]).decode("utf-8")
-            _WORKER_SOURCES[sha] = text
-            return text
     raise RuntimeError(
         f"source {sha[:12]}... was not preloaded into this worker "
         "(executor.preload must run before dispatching slim payloads)"
     )
-
-
-def _build_corpus_segment(sources: dict[str, str]):
-    """Write the corpus into one freshly created shared-memory segment."""
-    index: dict[str, tuple[int, int]] = {}
-    blobs: list[bytes] = []
-    offset = 0
-    for sha, text in sources.items():
-        data = text.encode("utf-8")
-        index[sha] = (offset, len(data))
-        blobs.append(data)
-        offset += len(data)
-    index_bytes = json.dumps(index, separators=(",", ":")).encode("utf-8")
-    payload = _SEGMENT_HEADER.pack(len(index_bytes)) + index_bytes + b"".join(blobs)
-    segment = _shm.SharedMemory(create=True, size=max(1, len(payload)))
-    segment.buf[: len(payload)] = payload
-    return segment
 
 
 class SerialExecutor:
@@ -196,16 +115,10 @@ class ProcessPoolExecutor:
     running for reuse.
     """
 
-    def __init__(self, jobs: int | None = None, shared_memory: bool = True) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-        # Fan the preloaded corpus out through one shared-memory segment
-        # (workers map it; see _install_worker_segment) instead of pickling
-        # the corpus dict into every worker spawn.  Degrades automatically
-        # to the pickle protocol when shared memory is unavailable.
-        self.shared_memory = bool(shared_memory) and _shm is not None
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self._preloaded: dict[str, str] = {}
-        self._segment = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -224,18 +137,12 @@ class ProcessPoolExecutor:
             return
         if self._pool is not None:
             self._shutdown_pool()
-        # The corpus grew: the current segment (if any) no longer covers it,
-        # so unlink it now and let the next spawn build a fresh one from the
-        # union.  Workers are already gone (shutdown above), so nothing maps
-        # the old segment.
-        self._release_segment()
         self._preloaded.update(missing)
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent); the executor stays usable
         and respawns workers on the next parallel ``map``."""
         self._shutdown_pool()
-        self._release_segment()
 
     def __enter__(self) -> "ProcessPoolExecutor":
         return self
@@ -268,55 +175,15 @@ class ProcessPoolExecutor:
             except (OSError, AttributeError):  # pragma: no cover - already dead
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
-        # Deliberately keep the corpus segment: the respawned pool's
-        # initializer re-attaches the same segment, so supervisor
-        # kill+respawn cycles never re-ship (or re-build) the corpus.
-
-    def _release_segment(self) -> None:
-        """Unlink the corpus segment (idempotent).  Parent-side only: the
-        parent created the segment, so the parent owns the unlink."""
-        segment = self._segment
-        if segment is None:
-            return
-        self._segment = None
-        try:
-            segment.close()
-            segment.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-            pass
-
-    def _ensure_segment(self):
-        """The live corpus segment, built on demand from the preload set.
-
-        Returns ``None`` (and sticks to the pickle protocol) when shared
-        memory is disabled or segment creation fails -- e.g. an exhausted
-        ``/dev/shm`` -- so fan-out degrades instead of breaking the run.
-        """
-        if not self.shared_memory:
-            return None
-        if self._segment is None:
-            try:
-                self._segment = _build_corpus_segment(self._preloaded)
-            except OSError:  # pragma: no cover - shm exhaustion
-                self.shared_memory = False
-                return None
-        return self._segment
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
             kwargs = {}
             if self._preloaded:
-                segment = self._ensure_segment()
-                if segment is not None:
-                    kwargs = {
-                        "initializer": _install_worker_segment,
-                        "initargs": (segment.name,),
-                    }
-                else:
-                    kwargs = {
-                        "initializer": _install_worker_sources,
-                        "initargs": (dict(self._preloaded),),
-                    }
+                kwargs = {
+                    "initializer": _install_worker_sources,
+                    "initargs": (dict(self._preloaded),),
+                }
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.jobs, **kwargs
             )
@@ -427,13 +294,11 @@ def map_streaming(
     return results
 
 
-def default_executor(
-    jobs: int | None, shared_memory: bool = True
-) -> SerialExecutor | ProcessPoolExecutor:
+def default_executor(jobs: int | None) -> SerialExecutor | ProcessPoolExecutor:
     """The executor implied by a ``--jobs`` setting: serial for 1, a pool otherwise."""
     if jobs is None or jobs <= 1:
         return SerialExecutor()
-    return ProcessPoolExecutor(jobs, shared_memory=shared_memory)
+    return ProcessPoolExecutor(jobs)
 
 
 __all__ = [

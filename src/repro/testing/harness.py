@@ -77,7 +77,7 @@ from pathlib import Path
 from repro.compiler.driver import PipelineCache
 from repro.compiler.pipeline import OptimizationLevel
 from repro.core.execution import ExecutionResult
-from repro.core.holes import BoundVariant, CharacteristicVector, Skeleton
+from repro.core.holes import BoundVariant, Skeleton
 from repro.core.naive import NaiveSkeletonEnumerator
 from repro.core.ranking import sample_distinct_indices
 from repro.core.spe import EnumerationBudget, SkeletonEnumerator
@@ -384,13 +384,6 @@ class CampaignConfig:
     #: every compile runs the full pipeline (the reference leg of the
     #: equivalence suites).  Throughput only; fingerprint-excluded.
     cache_pipeline_results: bool = True
-    #: Fan the preloaded corpus out to pool workers through one
-    #: ``multiprocessing.shared_memory`` segment (workers map the source
-    #: text) instead of pickling the corpus dict into every worker's
-    #: initializer.  Falls back to the pickle protocol automatically when
-    #: shared memory is unavailable.  Only meaningful for pooled runs.
-    #: Throughput only; fingerprint-excluded.
-    shared_memory: bool = True
     #: Per-unit wall-clock deadline in seconds, enforced on serial and pooled
     #: backends alike (worker-side ``SIGALRM`` alarm, with a parent-side
     #: watchdog backstop that kills and respawns a pool stuck past the
@@ -644,11 +637,6 @@ class CampaignPlan:
 class Campaign:
     """Run SPE-based differential testing over a corpus of seed programs."""
 
-    #: Bound on the campaign-lifetime sanitizer verdict cache (entries, FIFO
-    #: eviction).  A verdict is one bool per (file, vector) key, so the
-    #: worst case is well under a megabyte.
-    SANITIZER_CACHE_ENTRIES = 4096
-
     def __init__(self, config: CampaignConfig | None = None) -> None:
         self.config = config or CampaignConfig()
         self._frontend = get_frontend(self.config.frontend)
@@ -673,14 +661,6 @@ class Campaign:
             oracle.cache_stats = self._cache_stats
             if self._pipeline_cache is not None:
                 oracle.enable_pipeline_cache(self._pipeline_cache)
-        # Sanitizer verdicts (True = tainted) keyed by (source sha,
-        # characteristic vector) -- the sha scopes vectors to their file, so
-        # the cache can live for the whole campaign.  Only populated when
-        # ``config.sanitize`` is on.  Bounded FIFO.
-        self._sanitizer_cache: dict[tuple[str, CharacteristicVector], bool] = {}
-        # Fallback identity tokens for skeletons that did not come from
-        # source text (run_skeletons): unique per skeleton object.
-        self._anon_skeletons = 0
         # Skeletons parsed during planning, reused by in-process execution
         # (worker processes re-extract from source; skeletons do not pickle).
         self._skeleton_cache: dict[tuple[str, str], Skeleton] = {}
@@ -831,9 +811,7 @@ class Campaign:
         owned_executor = None
         try:
             if executor is None:
-                executor = owned_executor = default_executor(
-                    self.config.jobs, shared_memory=self.config.shared_memory
-                )
+                executor = owned_executor = default_executor(self.config.jobs)
             if shard_index is not None:
                 if not 0 <= shard_index < count:
                     raise ValueError(
@@ -1023,21 +1001,6 @@ class Campaign:
             result = plan.base.merge(result)
         return result
 
-    def run_skeletons(self, skeletons: list[Skeleton]) -> CampaignResult:
-        """Run the campaign serially over already-extracted skeletons.
-
-        Skeletons carry frontend ``realize`` closures that do not cross
-        process boundaries, so this path is always in-process.
-        """
-        result = CampaignResult()
-        started = time.perf_counter()
-        for skeleton in skeletons:
-            self._run_skeleton(skeleton, result)
-            if self._exhausted(result):
-                break
-        result.wall_seconds = time.perf_counter() - started
-        return result
-
     # -- internals ------------------------------------------------------------------
 
     def _stats_snapshot(self) -> dict[str, int]:
@@ -1175,26 +1138,8 @@ class Campaign:
         skeleton = self._skeleton_cache.get(key)
         if skeleton is None:
             skeleton = self._frontend.extract_skeleton(source, name=name)
-            # Identity token for the sanitizer verdict cache: the source sha
-            # scopes cached vectors to this file's content.
-            skeleton.metadata.setdefault("source_sha", key[1])
             self._skeleton_cache[key] = skeleton
         return skeleton
-
-    def _skeleton_token(self, skeleton: Skeleton) -> str:
-        """The sanitizer-cache identity of a skeleton (source sha, usually).
-
-        Skeletons built from source get their content sha in
-        :meth:`_extract_cached`; caller-provided skeletons
-        (:meth:`run_skeletons`) get a unique per-object token, so distinct
-        skeletons never share cache entries.
-        """
-        token = skeleton.metadata.get("source_sha")
-        if token is None:
-            self._anon_skeletons += 1
-            token = f"<anon:{self._anon_skeletons}>"
-            skeleton.metadata["source_sha"] = token
-        return token
 
     def _run_unit(self, unit: ShardUnit, result: CampaignResult) -> None:
         if self.config.chaos is not None:
@@ -1216,30 +1161,6 @@ class Campaign:
             programs = enumerator.programs_at(unit.indices)
         else:
             programs = enumerator.indexed_programs(start=unit.start, stop=unit.stop)
-        self._test_programs(skeleton, programs, result)
-
-    def _run_skeleton(self, skeleton: Skeleton, result: CampaignResult) -> None:
-        enumerator = SkeletonEnumerator(
-            skeleton, granularity=self.config.granularity, budget=self.config.budget
-        )
-        if not enumerator.within_budget():
-            result.files_skipped_budget += 1
-            return
-        result.files_processed += 1
-        if self.config.use_naive_enumeration:
-            enumerator = NaiveSkeletonEnumerator(skeleton)
-        if self.config.sample_per_file is not None:
-            total = (
-                enumerator.num_vectors()
-                if isinstance(enumerator, NaiveSkeletonEnumerator)
-                else enumerator.count()
-            )
-            indices = self._sample_file_indices(skeleton.name, total)
-            programs = enumerator.programs_at(indices)
-        else:
-            programs = enumerator.indexed_programs(
-                stop=self.config.max_variants_per_file
-            )
         self._test_programs(skeleton, programs, result)
 
     def _test_programs(self, skeleton: Skeleton, variants, result: CampaignResult) -> None:
@@ -1343,24 +1264,12 @@ class Campaign:
         return self._exhausted(result)
 
     def _variant_tainted(self, variant: BoundVariant) -> bool:
-        """Sanitizer verdict for one bound variant, memoised per (file, vector).
+        """Sanitizer verdict for one bound variant.
 
-        ``sanitizer_hits``/``misses`` count verdict-cache lookups,
-        ``sanitizer_clean``/``tainted`` count gate decisions (per variant
-        gated, hits included), all under ``cache_stats`` so they never
-        perturb journal equality.
+        ``sanitizer_clean``/``tainted`` count gate decisions under
+        ``cache_stats``, so they never perturb journal equality.
         """
-        key = (self._skeleton_token(variant.skeleton), variant.vector)
-        cache = self._sanitizer_cache
-        if key in cache:
-            self._count_cache("sanitizer_hits")
-            tainted = cache[key]
-        else:
-            self._count_cache("sanitizer_misses")
-            tainted = bool(self._frontend.sanitize_variant(variant))
-            cache[key] = tainted
-            while len(cache) > self.SANITIZER_CACHE_ENTRIES:
-                del cache[next(iter(cache))]
+        tainted = bool(self._frontend.sanitize_variant(variant))
         self._count_cache("sanitizer_tainted" if tainted else "sanitizer_clean")
         return tainted
 
@@ -1517,7 +1426,7 @@ def _inject_chaos(chaos: ChaosSpec, unit: ShardUnit) -> None:
 
     Runs at the top of ``_run_unit`` on every attempt -- injected faults are
     deterministic poison, not flakes.  Units without a planned ordinal
-    (``run_skeletons`` paths, hand-built units) are never targeted.
+    (hand-built units) are never targeted.
     """
     ordinal = unit.ordinal
     if ordinal < 0 or not chaos.any():

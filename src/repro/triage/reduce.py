@@ -50,16 +50,6 @@ class ReductionStats:
     initial_bytes: int = 0
     final_bytes: int = 0
 
-    def as_json(self) -> dict:
-        return {
-            "predicate_evaluations": self.predicate_evaluations,
-            "cache_hits": self.cache_hits,
-            "invalid_candidates": self.invalid_candidates,
-            "rounds": self.rounds,
-            "initial_bytes": self.initial_bytes,
-            "final_bytes": self.final_bytes,
-        }
-
 
 @dataclass
 class ReductionOutcome:

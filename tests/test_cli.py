@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -253,6 +260,34 @@ class TestArgumentValidation:
         assert "integer" in capsys.readouterr().err
 
 
+class TestDistributedShardPool:
+    def test_shard_with_jobs_shuts_its_pool_down(self, tmp_path):
+        # A --shard run with --jobs creates its own worker pool.  Workers
+        # inherit the command's stdout and stderr, so communicate() returns
+        # only once every worker has exited too: a worker that outlives the
+        # command turns into a timeout here.
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [
+            sys.executable, "-m", "repro", "campaign",
+            "--files", "8", "--variants", "20", "--shard", "0/2", "--jobs", "2",
+        ]
+        process = subprocess.Popen(
+            argv, cwd=tmp_path, env=env, text=True, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            out, err = process.communicate(timeout=180)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("campaign --shard 0/2 --jobs 2 or one of its workers did not exit")
+        assert process.returncode == 0, err
+        assert "# shard 0/2" in out
+        assert "leaked" not in err
+
+
 class TestDbCommands:
     """The ``repro db`` subcommands: compact, status, bugs, export, merge."""
 
@@ -391,11 +426,11 @@ class TestStatsLines:
             "module_misses": 1,
             "pipeline_hits": 0,
             "pipeline_misses": 8,
-            "reference_hits": 1,
-            "reference_misses": 0,
+            # Reference runs are counted but no cache serves them: no cell.
+            "reference_misses": 887,
         }
         assert cache_stats_line(stats) == (
-            "# cache: module 3/4 (75.0%)  pipeline 0/8 (0.0%)  reference 1/1 (100.0%)"
+            "# cache: module 3/4 (75.0%)  pipeline 0/8 (0.0%)"
         )
 
     def test_cache_line_omits_idle_caches(self):
@@ -409,21 +444,14 @@ class TestStatsLines:
     def test_sanitizer_line_pinned_format(self):
         from repro.cli import sanitizer_stats_line
 
-        stats = {
-            "sanitizer_hits": 4,
-            "sanitizer_misses": 4,
-            "sanitizer_tainted": 2,
-            "sanitizer_clean": 6,
-        }
-        assert sanitizer_stats_line(stats) == (
-            "# sanitizer: cache 4/8 (50.0%)  tainted 2/8 (25.0%)"
-        )
+        stats = {"sanitizer_tainted": 2, "sanitizer_clean": 6}
+        assert sanitizer_stats_line(stats) == "# sanitizer: tainted 2/8 (25.0%)"
 
     def test_sanitizer_line_silent_when_gate_off(self):
         from repro.cli import sanitizer_stats_line
 
         assert sanitizer_stats_line({}) is None
-        assert sanitizer_stats_line({"sanitizer_hits": 0, "sanitizer_misses": 0}) is None
+        assert sanitizer_stats_line({"sanitizer_tainted": 0, "sanitizer_clean": 0}) is None
 
 
 class TestLintCommand:
@@ -509,4 +537,4 @@ class TestVerifyIrFlags:
             ]
         ) == 0
         err = capsys.readouterr().err
-        assert "# sanitizer: cache " in err
+        assert "# sanitizer: tainted " in err

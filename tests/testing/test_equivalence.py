@@ -188,12 +188,10 @@ class TestBatchedEquivalence:
             ("batched", dict(batch_size=32)),
             ("scalar", dict(batch_size=0)),
             ("legacy-pipeline", dict(use_ast_rebinding=False)),
-            # pooled-slim rides the shared-memory corpus protocol by
-            # default; pooled-pickle pins the legacy initializer protocol,
+            # pooled-slim ships the corpus through the pool initializer,
             # pooled-fat a map-only backend's full-source payloads, and
             # pipeline-cache-off the uncached compile path.
-            ("pooled-slim-shm", dict(batch_size=32, jobs=2)),
-            ("pooled-pickle", dict(batch_size=32, jobs=2, shared_memory=False)),
+            ("pooled-slim", dict(batch_size=32, jobs=2)),
             ("pooled-fat", dict(batch_size=32, jobs=2)),
             ("pipeline-cache-off", dict(batch_size=32, cache_pipeline_results=False)),
         ]
@@ -213,7 +211,7 @@ class TestBatchedEquivalence:
 
     def test_while_journal_unit_records_are_pinned(self, tmp_path):
         # The WHILE frontend must honour the same byte-identity contract:
-        # vectorized == scalar == legacy == shared-memory-pooled.
+        # vectorized == scalar == legacy == pooled.
         from repro.frontends import get_frontend
 
         corpus = get_frontend("while").build_corpus(files=6, seed=2017)
@@ -231,7 +229,7 @@ class TestBatchedEquivalence:
             ("vectorized", dict(batch_size=32)),
             ("scalar", dict(batch_size=0)),
             ("legacy-pipeline", dict(use_ast_rebinding=False)),
-            ("pooled-shm", dict(batch_size=32, jobs=2)),
+            ("pooled", dict(batch_size=32, jobs=2)),
         ]
         journals = []
         for label, overrides in runs:

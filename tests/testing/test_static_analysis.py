@@ -10,7 +10,7 @@ import pytest
 from repro.compiler.driver import PipelineCache
 from repro.compiler.pipeline import OptimizationLevel
 from repro.core.holes import BoundVariant
-from repro.core.spe import EnumerationBudget
+from repro.core.spe import EnumerationBudget, SkeletonEnumerator
 from repro.frontends import get_frontend
 from repro.testing.bugs import BugKind
 from repro.testing.harness import Campaign, CampaignConfig
@@ -183,10 +183,13 @@ class TestSanitizerGate:
     def test_gate_telemetry_counters(self):
         result = self.run(sanitize=True)
         stats = result.cache_stats
-        lookups = stats.get("sanitizer_hits", 0) + stats.get("sanitizer_misses", 0)
         decisions = stats.get("sanitizer_clean", 0) + stats.get("sanitizer_tainted", 0)
-        assert lookups > 0
-        assert decisions == lookups
+        # The gate decides once for every order-clean variant tested.
+        skeleton = get_frontend("minic").extract_skeleton(UB_SEED, name="ub.c")
+        variants = SkeletonEnumerator(skeleton).indexed_programs(stop=8)
+        gated = sum(1 for variant in variants if variant.order_clean)
+        assert gated > 0
+        assert decisions == gated
         assert stats.get("sanitizer_tainted", 0) == result.observations.get("sanitized", 0)
 
     def test_gate_off_by_default_keeps_counters_silent(self):
