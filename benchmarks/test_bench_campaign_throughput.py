@@ -77,7 +77,7 @@ def _run_campaign(corpus, use_ast_rebinding: bool):
 def _cache_rates(cache_stats):
     """Hit/miss counters plus derived hit rates for each campaign cache."""
     rates = {}
-    for label in ("module", "pipeline", "reference"):
+    for label in ("module", "pipeline"):
         hits = cache_stats.get(f"{label}_hits", 0)
         misses = cache_stats.get(f"{label}_misses", 0)
         total = hits + misses

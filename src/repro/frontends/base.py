@@ -92,22 +92,47 @@ class Frontend(abc.ABC):
     ) -> ExecutionResult:
         """Interpret a bound variant's AST directly (no render, no re-parse)."""
 
+    def runner_for_skeleton(self, skeleton: Skeleton):
+        """The skeleton's batched execution tier, or ``None`` without one.
+
+        Frontends with a per-skeleton compiled body shared by every
+        characteristic vector (e.g. :mod:`repro.minic.codegen`) return its
+        runner, whose ``run_batch(vectors, max_steps=...)`` must give results
+        byte-identical to :meth:`run_reference_variant` per vector.
+        """
+        return None
+
     def run_reference_batch(
         self, variants: Sequence[BoundVariant], max_steps: int = 200_000
     ) -> list[ExecutionResult]:
-        """Interpret a batch of bound variants of the *same* skeleton.
+        """Interpret a batch of bound variants.
 
-        The default delegates to :meth:`run_reference_variant` per variant;
-        frontends with a batched execution tier (a per-skeleton compiled
-        body shared by every characteristic vector, e.g.
-        :mod:`repro.minic.codegen`) override this so the whole batch runs
-        without re-entering per-node interpretation -- the campaign
+        Consecutive variants of one skeleton run through its
+        :meth:`runner_for_skeleton` in a single call, so the batch never
+        re-enters per-node interpretation; a skeleton without a runner runs
+        variant by variant on :meth:`run_reference_variant`.  The campaign
         harness's ``batch_size`` knob feeds variants through here.
-        Results must be byte-identical to the per-variant path.
         """
-        return [
-            self.run_reference_variant(variant, max_steps=max_steps) for variant in variants
-        ]
+        results: list[ExecutionResult] = []
+        index = 0
+        total = len(variants)
+        while index < total:
+            skeleton = variants[index].skeleton
+            group_end = index
+            while group_end < total and variants[group_end].skeleton is skeleton:
+                group_end += 1
+            group = variants[index:group_end]
+            runner = self.runner_for_skeleton(skeleton)
+            if runner is not None:
+                results.extend(
+                    runner.run_batch([variant.vector for variant in group], max_steps=max_steps)
+                )
+            else:
+                results.extend(
+                    self.run_reference_variant(variant, max_steps=max_steps) for variant in group
+                )
+            index = group_end
+        return results
 
     def try_run_reference_source(
         self, source: str, max_steps: int = 200_000

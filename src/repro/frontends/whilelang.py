@@ -47,36 +47,14 @@ class WhileFrontend(Frontend):
     ) -> ExecutionResult:
         return execute_while(variant.program, max_steps=max_steps)
 
-    def run_reference_batch(self, variants, max_steps: int = 200_000):
+    def runner_for_skeleton(self, skeleton: Skeleton):
         # The batched tier compiles the whole skeleton into one generated
         # Python function (repro.lang.codegen); each vector then costs one
         # call instead of a tree-walk.  Results are byte-identical to
         # execute_while on the rebound AST.
         from repro.lang.codegen import runner_for_skeleton
 
-        results = []
-        index = 0
-        total = len(variants)
-        while index < total:
-            skeleton = variants[index].skeleton
-            group_end = index
-            while group_end < total and variants[group_end].skeleton is skeleton:
-                group_end += 1
-            runner = runner_for_skeleton(skeleton)
-            if runner is not None:
-                results.extend(
-                    runner.run_batch(
-                        [variant.vector for variant in variants[index:group_end]],
-                        max_steps=max_steps,
-                    )
-                )
-            else:
-                results.extend(
-                    self.run_reference_variant(variant, max_steps=max_steps)
-                    for variant in variants[index:group_end]
-                )
-            index = group_end
-        return results
+        return runner_for_skeleton(skeleton)
 
     def executor(
         self,

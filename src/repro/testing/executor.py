@@ -1,24 +1,26 @@
-"""Pluggable execution backends for sharded campaigns.
+"""Execution backends for sharded campaigns and triage predicates.
 
-The campaign harness (:mod:`repro.testing.harness`) splits a run into
-index-range work shards; an *executor* decides how those shards are
-evaluated:
+The campaign supervisor (:mod:`repro.testing.supervisor`) runs a campaign's
+index-range work shards on the executor it is given:
 
-* :class:`SerialExecutor` runs them one after another in-process -- the
-  default, and the reference behaviour every parallel backend must match;
-* :class:`ProcessPoolExecutor` fans them out over worker processes.  Work
-  units carry plain source text (not skeletons, whose ``realize`` closures do
-  not pickle) and the campaign config carries its frontend as a registry
-  *name*, so shard payloads are language-agnostic and picklable: each worker
-  resolves the frontend plug-in and re-extracts its skeletons; results come
-  back as :class:`~repro.testing.harness.CampaignResult` values and are
-  merged with :meth:`CampaignResult.merge`.
+* :class:`SerialExecutor` makes the supervisor run them one after another
+  in-process -- the default;
+* :class:`ProcessPoolExecutor` fans them out over worker processes through
+  :meth:`~ProcessPoolExecutor.submit`.  Work units carry plain source text
+  (not skeletons, whose ``realize`` closures do not pickle) and the campaign
+  config carries its frontend as a registry *name*, so shard payloads are
+  language-agnostic and picklable: each worker resolves the frontend plug-in
+  and re-extracts its skeletons; results come back as
+  :class:`~repro.testing.harness.ShardOutcome` values.
 
-The process pool is *persistent*: it is spawned lazily on the first parallel
-``map`` and reused by every later call (and by later campaigns in the same
-process) until :meth:`ProcessPoolExecutor.close` -- the executor is a
-context manager, and the harness closes executors it created itself.  A
-campaign's corpus can be *preloaded* into the workers once via
+Both backends also expose ``map(fn, items)``, through which
+:mod:`repro.triage.reduce` evaluates reduction predicates.
+
+The process pool is *persistent*: it is spawned lazily on first use and
+reused by every later call (and by later campaigns in the same process)
+until :meth:`ProcessPoolExecutor.close` -- the executor is a context
+manager, and the harness closes executors it created itself.  A campaign's
+corpus is *preloaded* into the workers once via
 :meth:`ProcessPoolExecutor.preload`: sources travel keyed by content sha
 through the pool initializer's arguments (workers started by ``fork``, the
 Linux default before Python 3.14, inherit them without pickling), and shard
@@ -29,35 +31,24 @@ across campaigns only respawns the pool when genuinely new sources appear,
 and supervisor ``kill_workers`` respawns re-run the initializer with the
 same corpus.
 
-Both backends expose the same ``map(fn, items)`` surface, so anything
-shaped like that (e.g. an MPI or job-queue adapter) can be plugged into
-``Campaign.run_sources(..., executor=...)``.
-
 When a campaign runs with a persistent state directory
-(``CampaignConfig.state_dir``), durability is layered on both sides of the
-executor boundary: shard *workers* append per-unit records to the campaign
-journal themselves (so a record survives worker, pool and parent all dying
--- the payload config carries the state directory across the process
-boundary), and the *parent* streams shard completions through the optional
-``completed`` callback of :func:`map_streaming` to write progress
-checkpoints as results arrive instead of only after the whole pool drains.
+(``CampaignConfig.state_dir``), shard *workers* append per-unit records to
+the campaign journal themselves, so a record survives worker, pool and
+parent all dying (the payload config carries the state directory across
+the process boundary); the supervisor writes a progress checkpoint in the
+parent as each shard outcome arrives.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import inspect
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from concurrent.futures.process import BrokenProcessPool
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
-
-#: Optional per-result callback, invoked as each work item completes (in
-#: completion order, which for parallel backends differs from item order).
-CompletedCallback = Callable[[_Result], None]
 
 #: Per-worker-process corpus installed by the pool initializer: content sha
 #: -> source text.  Module-level so shard payloads can reference sources by
@@ -84,19 +75,8 @@ def worker_source(sha: str) -> str:
 class SerialExecutor:
     """Evaluate work items sequentially in the calling process."""
 
-    def map(
-        self,
-        fn: Callable[[_Item], _Result],
-        items: Iterable[_Item],
-        completed: CompletedCallback | None = None,
-    ) -> list[_Result]:
-        results: list[_Result] = []
-        for item in items:
-            result = fn(item)
-            if completed is not None:
-                completed(result)
-            results.append(result)
-        return results
+    def map(self, fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> list[_Result]:
+        return [fn(item) for item in items]
 
 
 class ProcessPoolExecutor:
@@ -107,9 +87,9 @@ class ProcessPoolExecutor:
             ``fn`` and the items must be picklable; the campaign's shard
             worker is a module-level function for exactly this reason.
 
-    The underlying pool is created lazily on the first parallel ``map`` call
-    and *kept alive* across calls -- worker spawn cost is paid once per
-    corpus, not once per ``map``.  Use as a context manager (or call
+    The underlying pool is created lazily on the first ``submit`` or
+    parallel ``map`` call and *kept alive* across calls -- worker spawn cost
+    is paid once per corpus, not once per call.  Use as a context manager (or call
     :meth:`close`) to shut the workers down; the campaign harness closes
     executors it constructed internally and leaves caller-provided ones
     running for reuse.
@@ -141,7 +121,7 @@ class ProcessPoolExecutor:
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent); the executor stays usable
-        and respawns workers on the next parallel ``map``."""
+        and respawns workers on the next ``submit`` or parallel ``map``."""
         self._shutdown_pool()
 
     def __enter__(self) -> "ProcessPoolExecutor":
@@ -200,35 +180,17 @@ class ProcessPoolExecutor:
         """
         return self._ensure_pool().submit(fn, item)
 
-    def map(
-        self,
-        fn: Callable[[_Item], _Result],
-        items: Iterable[_Item],
-        completed: CompletedCallback | None = None,
-    ) -> list[_Result]:
+    def map(self, fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> list[_Result]:
         items = list(items)
         # A trivial map runs in-process -- unless sources were preloaded:
-        # slim payloads reference them by sha, which only a worker resolves.
+        # items may reference them by sha, which only a worker resolves.
         if not self._preloaded and (self.jobs <= 1 or len(items) <= 1):
-            return SerialExecutor().map(fn, items, completed)
+            return SerialExecutor().map(fn, items)
         pool = self._ensure_pool()
         futures: list[concurrent.futures.Future] = []
         try:
             futures = [pool.submit(fn, item) for item in items]
-            if completed is None:
-                return [future.result() for future in futures]
-            # Single gathering pass: each future's result is consumed exactly
-            # once, streamed to the callback in *completion* order (which is
-            # what lets the harness checkpoint a long campaign's durable
-            # store while other shards are still running) and slotted back
-            # into *submission* order for the return value.
-            results: list[_Result] = [None] * len(futures)  # type: ignore[list-item]
-            slot_of = {future: index for index, future in enumerate(futures)}
-            for future in concurrent.futures.as_completed(futures):
-                result = future.result()
-                results[slot_of[future]] = result
-                completed(result)
-            return results
+            return [future.result() for future in futures]
         except BrokenProcessPool:
             # A worker died abnormally; the pool is unusable.  Drop it so the
             # next map() call starts from a fresh spawn, then surface the
@@ -237,8 +199,8 @@ class ProcessPoolExecutor:
             raise
         except BaseException:
             # One future failed mid-gather: cancel the outstanding ones
-            # before re-raising so an aborting campaign stops burning CPU on
-            # shards whose results nobody will ever read.  Already-running
+            # before re-raising so the pool stops burning CPU on items whose
+            # results nobody will ever read.  Already-running
             # futures cannot be cancelled (stdlib semantics) -- their
             # eventual results/exceptions are consumed silently instead of
             # leaking "exception was never retrieved" noise.
@@ -267,33 +229,6 @@ def _swallow_result(future: concurrent.futures.Future) -> None:
         pass
 
 
-def map_streaming(
-    executor,
-    fn: Callable[[_Item], _Result],
-    items: Sequence[_Item],
-    completed: CompletedCallback | None = None,
-) -> list[_Result]:
-    """``executor.map`` with a completion callback when the backend has one.
-
-    Third-party executors only promise ``map(fn, items)``; both built-in
-    backends additionally accept ``completed``.  This helper feature-detects
-    the parameter so streaming checkpoints degrade gracefully (callback
-    invoked once per result after the fact) on minimal backends.
-    """
-    if completed is None:
-        return executor.map(fn, items)
-    try:
-        accepts = "completed" in inspect.signature(executor.map).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        accepts = False
-    if accepts:
-        return executor.map(fn, items, completed=completed)
-    results = executor.map(fn, items)
-    for result in results:
-        completed(result)
-    return results
-
-
 def default_executor(jobs: int | None) -> SerialExecutor | ProcessPoolExecutor:
     """The executor implied by a ``--jobs`` setting: serial for 1, a pool otherwise."""
     if jobs is None or jobs <= 1:
@@ -305,6 +240,5 @@ __all__ = [
     "ProcessPoolExecutor",
     "SerialExecutor",
     "default_executor",
-    "map_streaming",
     "worker_source",
 ]

@@ -93,7 +93,7 @@ from repro.store import (
     unit_key_for,
 )
 from repro.testing.bugs import BugDatabase, BugReport
-from repro.testing.executor import SerialExecutor, default_executor, map_streaming
+from repro.testing.executor import SerialExecutor, default_executor, worker_source
 from repro.testing.oracle import DifferentialOracle, Observation
 
 # The triage engine (repro.triage) is imported lazily inside the methods
@@ -118,18 +118,14 @@ class UnitDeadlineExpired(Exception):
     """A unit overran ``CampaignConfig.unit_timeout`` (worker-side alarm)."""
 
 
-def _rebuild_unit_error(message, unit_key, unit_name, span, kind):
-    return UnitExecutionError(message, unit_key=unit_key, unit_name=unit_name, span=span, kind=kind)
-
-
 class UnitExecutionError(RuntimeError):
     """A unit failed, wrapped with the unit's identity.
 
-    Failures propagated out of a shard worker name the unit that caused them
-    -- seed name, journal key and exact index slice -- instead of only the
-    raw traceback, so an aborted campaign's operator knows *which* work to
-    exclude or retry.  Picklable across the pool boundary (``__reduce__``
-    keeps the context attributes).
+    The supervisor raises it in the parent when a unit exhausts its retry
+    budget under ``on_fault="abort"``: it names the unit that caused the
+    abort -- seed name, journal key and exact index slice -- instead of only
+    the raw traceback, so an aborted campaign's operator knows *which* work
+    to exclude or retry.
     """
 
     def __init__(
@@ -146,12 +142,6 @@ class UnitExecutionError(RuntimeError):
         self.unit_name = unit_name
         self.span = span
         self.kind = kind
-
-    def __reduce__(self):
-        return (
-            _rebuild_unit_error,
-            (str(self), self.unit_key, self.unit_name, self.span, self.kind),
-        )
 
     @staticmethod
     def for_unit(unit: "ShardUnit", kind: str, detail: str) -> "UnitExecutionError":
@@ -231,11 +221,10 @@ class ShardOutcome:
 
     ``result`` merges every unit that *completed* (those were journaled by
     the worker itself); ``exhausted`` says ``stop_after_bugs`` fired.
-    Under supervision, ``failed`` lists the positions (into the dispatched
-    unit tuple) whose unit raised or overran its worker-side deadline --
-    batch-mates of a failing unit still produce results in the same pass,
-    so only genuinely failed units are retried.  Unsupervised shards raise
-    on the first failure instead, so their ``failed`` is always empty.
+    ``failed`` holds at most one ``(position, failure)``: the shard stops at
+    its first unit that raised or overran its worker-side deadline, and
+    ``position`` indexes the dispatched unit tuple, so the supervisor knows
+    which unit to charge and that every unit after it is still to run.
     Crashes and hard hangs never return an outcome at all; the supervisor
     infers those from the broken pool / its watchdog.
     """
@@ -387,22 +376,22 @@ class CampaignConfig:
     #: Per-unit wall-clock deadline in seconds, enforced on serial and pooled
     #: backends alike (worker-side ``SIGALRM`` alarm, with a parent-side
     #: watchdog backstop that kills and respawns a pool stuck past the
-    #: deadline).  Setting it engages the campaign supervisor
-    #: (:mod:`repro.testing.supervisor`).  ``None`` disables deadlines.
+    #: deadline).  Setting it makes the campaign :attr:`supervised`.
+    #: ``None`` disables deadlines.
     unit_timeout: float | None = None
     #: How many times the supervisor retries a failed or timed-out unit
     #: before resolving it (quarantine or abort, per ``on_fault``).  Retries
     #: degrade down the execution tiers: the first retry disables the
     #: batched reference tier, later ones fall back to the legacy
     #: render+reparse pipeline, so a codegen-tier bug costs one tier, not
-    #: the campaign.  Only meaningful under supervision.
+    #: the campaign.  Only :attr:`supervised` campaigns retry; any other
+    #: campaign resolves a unit on its first failure.
     max_retries: int = 2
     #: Base of the exponential backoff between retry attempts of one unit
     #: (``retry_backoff * 2**(attempt-1)`` seconds).  Zero disables waiting.
     retry_backoff: float = 0.1
-    #: What to do with a unit that exhausts its retries: ``"abort"`` re-raises
-    #: (the legacy fail-fast behaviour -- with ``unit_timeout`` unset this is
-    #: exactly the historical pipeline, byte-identical journals included),
+    #: What to do with a unit that exhausts its retries: ``"abort"`` raises
+    #: a :class:`UnitExecutionError` naming it (the fail-fast default),
     #: ``"quarantine"`` journals a ``type="quarantine"`` record, reports the
     #: unit in ``CampaignResult.quarantined`` and degrades gracefully:
     #: every other unit still produces its result, and resumed runs skip
@@ -465,11 +454,12 @@ class CampaignConfig:
 
     @property
     def supervised(self) -> bool:
-        """Does this campaign run under the fault-tolerant supervisor?
+        """Does the supervisor retry this campaign's failed units?
 
-        Engaged by any knob that changes failure handling; the default
-        config keeps the historical fail-fast pipeline (and its byte-exact
-        journals) without a supervisor in the loop.
+        Every campaign runs through :mod:`repro.testing.supervisor`; this
+        only picks the retry budget a failing unit is charged against:
+        ``max_retries`` when any knob that changes failure handling is set,
+        0 otherwise, so the default config aborts on its first failing unit.
         """
         return self.on_fault == "quarantine" or self.unit_timeout is not None
 
@@ -502,7 +492,7 @@ class CampaignResult:
     #: Units the supervisor gave up on (exhausted retries): the quarantine
     #: records, deduplicated by unit key.  Empty -- and absent from every
     #: serialized form -- in fault-free runs, which is what keeps supervised
-    #: no-fault journals byte-identical to unsupervised ones.
+    #: no-fault journals byte-identical to default-config ones.
     quarantined: list[QuarantineRecord] = field(default_factory=list)
     #: Campaign-cache hit/miss counters (module / pipeline / reference
     #: caches), attached at shard granularity -- never to per-unit results,
@@ -576,12 +566,12 @@ class ShardUnit:
     contiguous ``[start, stop)`` range of the canonical enumeration or an
     explicit tuple of sampled ``indices``.
 
-    Units sent to an executor that can ``preload`` the corpus are *slim*
-    (see :class:`_Payloads`): ``source`` is empty and ``source_sha`` names
-    the text in the worker's preloaded corpus.  The worker rehydrates the full
-    source (and clears ``source_sha``) before executing, so everything
-    downstream -- including the journal's content-derived unit keys, which
-    hash ``source`` -- sees exactly the unit a serial run would.
+    Units sent to a pool worker are *slim* (see :class:`_Payloads`):
+    ``source`` is empty and ``source_sha`` names the text in the worker's
+    preloaded corpus.  The worker rehydrates the full source (and clears
+    ``source_sha``) before executing, so everything downstream -- including
+    the journal's content-derived unit keys, which hash ``source`` -- sees
+    exactly the unit a serial run would.
     """
 
     name: str
@@ -805,6 +795,10 @@ class Campaign:
         """
         count = shard_count if shard_count is not None else max(1, self.config.jobs)
         plan = self.plan(sources, shard_count=count)
+        if shard_index is not None and not 0 <= shard_index < count:
+            # Before the store opens: a rejected call must leave no state
+            # directory behind.
+            raise ValueError(f"shard_index {shard_index} out of range for {count} shards")
         store = self._open_store(
             resume=resume, incremental=incremental, preserve=shard_index is not None
         )
@@ -813,10 +807,6 @@ class Campaign:
             if executor is None:
                 executor = owned_executor = default_executor(self.config.jobs)
             if shard_index is not None:
-                if not 0 <= shard_index < count:
-                    raise ValueError(
-                        f"shard_index {shard_index} out of range for {count} shards"
-                    )
                 return self._run_one_shard(plan, shard_index, executor, store, incremental)
             started = time.perf_counter()
             work, replayed = self._partition(plan.shards, store, incremental)
@@ -929,44 +919,11 @@ class Campaign:
         executor,
         store: CampaignStore | None,
     ) -> list[CampaignResult]:
-        """Run the partitioned work on the chosen backend, journaling as it goes."""
-        if self.config.supervised:
-            # Fault-tolerant path: per-unit deadlines, retry/backoff with
-            # tier degradation, batch bisection and poison-unit quarantine.
-            # With no faults injected and none occurring, it executes the
-            # same units through the same worker code and journals
-            # byte-identical records.
-            from repro.testing.supervisor import CampaignSupervisor
+        """Run the partitioned work through the campaign supervisor,
+        journaling as it goes; one result per work item, in order."""
+        from repro.testing.supervisor import CampaignSupervisor
 
-            return CampaignSupervisor(self, work, executor, store).run()
-        if isinstance(executor, SerialExecutor):
-            # In-process: no pickling; shards with this campaign's own config
-            # reuse its oracles and caches, delta shards get a private
-            # campaign for their restricted version set.
-            journal = store.writer() if store is not None else None
-            results = []
-            for item in work:
-                campaign = self if item.config is self.config else Campaign(item.config)
-                results.append(campaign._run_shard(item.shard, journal=journal).result)
-            return results
-        progress = {"shards": 0, "merged": CampaignResult()}
-
-        def on_completed(outcome: ShardOutcome) -> None:
-            # Stream a durable progress checkpoint as each shard result
-            # arrives (merged counters so far, in completion order); unit
-            # records were already journaled by the worker itself.
-            progress["shards"] += 1
-            progress["merged"] = progress["merged"].merge(outcome.result)
-            store.checkpoint(progress["shards"], progress["merged"])
-
-        payload = _Payloads(executor, work)
-        outcomes = map_streaming(
-            executor,
-            _run_shard_payload,
-            [payload(item.config, item.shard.index, item.shard.units) for item in work],
-            completed=on_completed if store is not None else None,
-        )
-        return [outcome.result for outcome in outcomes]
+        return CampaignSupervisor(self, work, executor, store).run()
 
     def _run_one_shard(
         self,
@@ -1054,20 +1011,18 @@ class Campaign:
         would be incomplete); everything before it is.
 
         Every unit runs under the worker-side ``unit_timeout`` alarm (a
-        no-op without a timeout).  What a failing unit does depends on
-        ``config.supervised``: unsupervised, it aborts the shard at once
-        with a :class:`UnitExecutionError` naming the unit, and nothing
-        after it runs or is journaled; supervised, it is recorded in the
-        outcome's ``failed`` list while its batch-mates keep executing, so
-        the supervisor retries only the genuinely failed units.
+        no-op without a timeout).  The first unit that raises or overruns
+        it stops the shard: it is reported in the outcome's ``failed``, and
+        nothing after it runs or is journaled here -- the supervisor decides
+        whether to retry it, quarantine it or abort, and requeues the rest.
         ``CampaignInterrupted`` (``fail_after_units``) is raised between
-        units, outside the unit-failure taxonomy, either way.
+        units, outside the unit-failure taxonomy.
         """
         result = CampaignResult()
         started = time.perf_counter()
         stats_entry = self._stats_snapshot()
         self._shard_bug_keys = set()
-        failed: list[tuple[int, UnitFailure]] = []
+        failed: tuple[tuple[int, UnitFailure], ...] = ()
         exhausted = False
         units_done = 0
         timeout = self.config.unit_timeout
@@ -1077,31 +1032,20 @@ class Campaign:
                 with unit_deadline(timeout):
                     self._run_unit(unit, unit_result)
             except Exception as error:
-                if not self.config.supervised:
-                    # Name the unit that failed (seed + index slice + journal
-                    # key), not just the raw traceback -- the operator of an
-                    # aborted campaign needs to know which work to exclude.
-                    raise UnitExecutionError.for_unit(
-                        unit, FAILURE_EXCEPTION, f"{type(error).__name__}: {error}"
-                    ) from error
                 hung = isinstance(error, UnitDeadlineExpired)
-                failed.append(
-                    (
-                        position,
-                        UnitFailure(
-                            unit_key=unit_key_for(unit),
-                            unit_name=unit.name,
-                            span=unit_span(unit),
-                            kind=FAILURE_HANG if hung else FAILURE_EXCEPTION,
-                            detail=(
-                                f"unit exceeded its {timeout:g}s deadline"
-                                if hung
-                                else _format_failure(error)
-                            ),
-                        ),
-                    )
+                failure = UnitFailure(
+                    unit_key=unit_key_for(unit),
+                    unit_name=unit.name,
+                    span=unit_span(unit),
+                    kind=FAILURE_HANG if hung else FAILURE_EXCEPTION,
+                    detail=(
+                        f"unit exceeded its {timeout:g}s deadline"
+                        if hung
+                        else _format_failure(error)
+                    ),
                 )
-                continue
+                failed = ((position, failure),)
+                break
             exhausted = self._exhausted(unit_result)
             result = result.merge(unit_result)
             self._shard_bug_keys = {
@@ -1131,7 +1075,7 @@ class Campaign:
         self._shard_bug_keys = set()
         result.wall_seconds = time.perf_counter() - started
         result.cache_stats = self._stats_delta(stats_entry)
-        return ShardOutcome(result=result, failed=tuple(failed), exhausted=exhausted)
+        return ShardOutcome(result=result, failed=failed, exhausted=exhausted)
 
     def _extract_cached(self, name: str, source: str) -> Skeleton:
         key = (name, hashlib.sha256(source.encode()).hexdigest())
@@ -1364,33 +1308,28 @@ class _WorkItem:
 class _Payloads:
     """Builds the payloads :func:`_run_shard_payload` receives across a pool.
 
-    An executor with ``preload`` gets the whole work's corpus once, keyed by
-    content sha, when this is constructed; every payload it then builds
-    carries *slim* units (``source`` empty, ``source_sha`` set), which the
-    worker rehydrates before executing.  A ``map``-only executor -- the
-    documented backend contract -- gets units with their full source text.
+    The supervisor dispatches to pool workers only through
+    :meth:`~repro.testing.executor.ProcessPoolExecutor.submit`, after this
+    has preloaded the whole work's corpus into the pool, keyed by content
+    sha.  Every payload therefore carries *slim* units (``source`` empty,
+    ``source_sha`` set), which the worker rehydrates before executing.
     """
 
     def __init__(self, executor, work: list[_WorkItem]) -> None:
-        preload = getattr(executor, "preload", None)
-        self.slim = preload is not None
-        if preload is not None:
-            preload(
-                {
-                    source_sha(unit.source): unit.source
-                    for item in work
-                    for unit in item.shard.units
-                }
-            )
+        executor.preload(
+            {
+                source_sha(unit.source): unit.source
+                for item in work
+                for unit in item.shard.units
+            }
+        )
 
     def __call__(
         self, config: CampaignConfig, index: int, units: tuple[ShardUnit, ...]
     ) -> tuple[CampaignConfig, CampaignShard]:
-        if self.slim:
-            units = tuple(
-                replace(unit, source="", source_sha=source_sha(unit.source))
-                for unit in units
-            )
+        units = tuple(
+            replace(unit, source="", source_sha=source_sha(unit.source)) for unit in units
+        )
         return config, CampaignShard(index=index, units=units)
 
 
@@ -1457,16 +1396,10 @@ def _rehydrate_shard(shard: CampaignShard) -> CampaignShard:
     Happens *before* execution, so journal unit keys -- which hash the
     source -- are identical to a serial run's.
     """
-    if not any(unit.source_sha for unit in shard.units):
-        return shard
-    from repro.testing.executor import worker_source
-
     return CampaignShard(
         index=shard.index,
         units=tuple(
             replace(unit, source=worker_source(unit.source_sha), source_sha="")
-            if unit.source_sha
-            else unit
             for unit in shard.units
         ),
     )
@@ -1479,8 +1412,7 @@ def _run_shard_payload(payload: tuple[CampaignConfig, CampaignShard]) -> ShardOu
     completed unit itself (the journal supports concurrent line-atomic
     appenders), so unit outcomes are durable even if the worker, the pool or
     the parent dies before the shard result is returned.  Returns a
-    :class:`ShardOutcome`, so supervised per-unit failures cross the pool
-    as data.
+    :class:`ShardOutcome`, so a unit failure crosses the pool as data.
     """
     config, shard = payload
     shard = _rehydrate_shard(shard)

@@ -1,19 +1,22 @@
-"""The campaign supervisor: fault-tolerant execution of partitioned work.
+"""The campaign supervisor: the one dispatch loop for partitioned work.
 
-``Campaign._execute`` routes here when ``CampaignConfig.supervised`` is true
-(an ``--on-fault quarantine`` policy or a ``--unit-timeout`` deadline).  The
-supervisor owns the scheduling loop the plain path delegates to
-``executor.map``, because surviving worker failures needs exactly what
-``map`` cannot give: per-future deadlines, selective retry, and a pool that
-can be killed and respawned mid-run.
+``Campaign._execute`` hands every campaign's work here.  The supervisor
+runs it in-process for a serial executor and through
+:meth:`~repro.testing.executor.ProcessPoolExecutor.submit` for a pool,
+because surviving worker failures needs exactly what a gathered ``map``
+cannot give: per-future deadlines, selective retry, and a pool that can be
+killed and respawned mid-run.  ``CampaignConfig.supervised`` (an
+``--on-fault quarantine`` policy or a ``--unit-timeout`` deadline) only
+sets the retry budget: ``max_retries`` when true, 0 otherwise, so a
+default-config campaign aborts on its first failing unit.
 
 Failure taxonomy and recovery (see ``docs/ARCHITECTURE.md`` section 9):
 
-* **exception** -- a unit raised in the worker.  Under supervision the
-  shard runner (:meth:`~repro.testing.harness.Campaign._run_shard`) catches
-  it *per unit* and keeps going, so one pass yields every batch-mate's
-  result plus a precise :class:`~repro.testing.harness.UnitFailure`; no
-  bisection is ever needed.
+* **exception** -- a unit raised in the worker.  The shard runner
+  (:meth:`~repro.testing.harness.Campaign._run_shard`) stops at it and
+  reports a precise :class:`~repro.testing.harness.UnitFailure`; the
+  supervisor requeues the units after it uncharged, so batch-mates still
+  produce their results and no bisection is ever needed.
 * **hang (soft)** -- a unit overran ``unit_timeout`` but the worker-side
   ``SIGALRM`` could interrupt it.  Reported exactly like an exception.
 * **hang (hard)** -- the worker is stuck where no signal lands (C code,
@@ -34,17 +37,17 @@ A failed single unit is charged one attempt and requeued with exponential
 backoff (``retry_backoff * 2**(attempt-1)``), degrading down the execution
 tiers -- batched codegen, then scalar, then the legacy render+reparse
 pipeline -- so a codegen-tier bug costs one tier, not the campaign.  A unit
-that exhausts ``max_retries`` is *resolved*: under ``on_fault="quarantine"``
+that exhausts its retry budget is *resolved*: under ``on_fault="quarantine"``
 it is journaled as a ``type="quarantine"`` record (excluded from resume
 replay, so a deterministic crasher cannot livelock the campaign) and
 surfaced in ``CampaignResult.quarantined``; under ``on_fault="abort"`` the
 run fails fast with a :class:`~repro.testing.harness.UnitExecutionError`
-naming the unit.
+naming the unit, raised here in the parent.
 
-Equivalence contract: with no faults injected and none occurring, the
-supervisor dispatches the same units through the same worker code and the
-journals (and reports) are byte-identical to the unsupervised path -- the
-equivalence and resume suites pin this.
+Equivalence contract: with no faults injected and none occurring, deadlines
+and the quarantine policy change nothing -- a supervised run journals unit
+records (and prints reports) byte-identical to a default-config run, which
+the equivalence, supervision and resume suites pin.
 
 Caveats by backend: in-process (serial) execution cannot survive a *crash*
 (the campaign process itself dies) or a *hard* hang (no parent watches it);
@@ -60,7 +63,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from repro.store import QuarantineRecord, unit_key_for
-from repro.testing.executor import SerialExecutor, _cancel_outstanding
+from repro.testing.executor import _cancel_outstanding
 from repro.testing.harness import (
     Campaign,
     CampaignInterrupted,
@@ -98,7 +101,8 @@ class _Task:
     item_index: int
     units: tuple[ShardUnit, ...]
     #: Execution tier for this run; single-unit retries carry the unit's
-    #: failure count, fresh/bisected tasks keep their parent's tier.
+    #: failure count, fresh, bisected and requeued tasks keep their parent's
+    #: tier.
     attempt: int = 0
     #: Earliest monotonic time this task may be dispatched (retry backoff).
     not_before: float = 0.0
@@ -119,8 +123,8 @@ class CampaignSupervisor:
 
     Constructed per :meth:`Campaign._execute` call with the already
     partitioned work items; :meth:`run` returns one result per item, aligned
-    with the input (exactly the contract the plain path's ``map`` has), with
-    quarantined units recorded on the item they belonged to.
+    with the input, with quarantined units recorded on the item they
+    belonged to.
     """
 
     #: Slack added to a task's worker-side deadline budget before the parent
@@ -141,6 +145,7 @@ class CampaignSupervisor:
         #: Failed-attempt count per unit key; only *attributed* failures
         #: charge it (collateral requeues and bisection splits never do).
         self.attempts: dict[str, int] = {}
+        self.retry_budget = self.config.max_retries if self.config.supervised else 0
         self.exhausted_items: set[int] = set()
         self._in_flight: dict[Future, _InFlight] = {}
         self._payloads: _Payloads | None = None
@@ -150,11 +155,7 @@ class CampaignSupervisor:
     # -- entry point -------------------------------------------------------
 
     def run(self) -> list[CampaignResult]:
-        if (
-            isinstance(self.executor, SerialExecutor)
-            or not hasattr(self.executor, "submit")
-            or getattr(self.executor, "jobs", 1) <= 1
-        ):
+        if not hasattr(self.executor, "submit") or getattr(self.executor, "jobs", 1) <= 1:
             self._run_inline()
         else:
             self._payloads = _Payloads(self.executor, self.work)
@@ -189,6 +190,10 @@ class CampaignSupervisor:
         if outcome.exhausted:
             self.exhausted_items.add(index)
         for position, failure in outcome.failed:
+            # The shard stopped at its failed unit: the units after it have
+            # not run, and go back uncharged at the same tier.
+            if position + 1 < len(task.units):
+                self.pending.appendleft(replace(task, units=task.units[position + 1 :]))
             self._charge(task, task.units[position], failure.kind, failure.detail)
         self._completed += 1
         self._progress = self._progress.merge(outcome.result)
@@ -200,7 +205,7 @@ class CampaignSupervisor:
         key = unit_key_for(unit)
         count = self.attempts.get(key, 0) + 1
         self.attempts[key] = count
-        if count > self.config.max_retries:
+        if count > self.retry_budget:
             self._resolve_poison(task.item_index, unit, kind, detail, count)
             return
         backoff = self.config.retry_backoff * (2 ** (count - 1))
@@ -281,7 +286,8 @@ class CampaignSupervisor:
             config = _tier_config(item.config, task.attempt)
             if config is self.campaign.config:
                 # First-tier work under the campaign's own config reuses its
-                # caches, exactly like the unsupervised serial path.
+                # oracles and caches; delta and degraded work gets a private
+                # campaign for its own config.
                 campaign = self.campaign
             else:
                 campaign = Campaign(config)

@@ -14,7 +14,6 @@ import pytest
 from repro.compiler.pipeline import OptimizationLevel
 from repro.corpus.seeds import paper_seed_programs
 from repro.core.spe import EnumerationBudget
-from repro.testing.executor import ProcessPoolExecutor
 from repro.testing.harness import Campaign, CampaignConfig
 
 
@@ -50,30 +49,6 @@ def bug_fingerprints(result) -> list[tuple]:
         )
         for report in result.bugs.reports
     )
-
-
-class MapOnlyPool:
-    """A backend with ``map`` alone and no ``preload`` -- the documented
-    third-party executor contract -- so the harness ships every shard
-    payload with its full source text ("fat" payloads)."""
-
-    def __init__(self, jobs: int) -> None:
-        self._pool = ProcessPoolExecutor(jobs)
-
-    def map(self, fn, items):
-        return self._pool.map(fn, items)
-
-    def close(self) -> None:
-        self._pool.close()
-
-
-def run_fat(campaign: Campaign, corpus, **kwargs):
-    """``campaign.run_sources`` on a two-worker map-only backend."""
-    pool = MapOnlyPool(2)
-    try:
-        return campaign.run_sources(corpus, executor=pool, **kwargs)
-    finally:
-        pool.close()
 
 
 def result_fingerprint(result) -> tuple:
@@ -159,9 +134,7 @@ class TestBatchedEquivalence:
     def test_persistent_pool_identical_to_serial(self, corpus):
         serial = Campaign(config(True)).run_sources(corpus)
         pooled = Campaign(config(True, jobs=2)).run_sources(corpus, shard_count=4)
-        fat_payload = run_fat(Campaign(config(True, jobs=2)), corpus, shard_count=4)
         assert result_fingerprint(pooled) == result_fingerprint(serial)
-        assert result_fingerprint(fat_payload) == result_fingerprint(serial)
 
     def test_while_frontend_batched_identical(self):
         from repro.frontends import get_frontend
@@ -188,21 +161,17 @@ class TestBatchedEquivalence:
             ("batched", dict(batch_size=32)),
             ("scalar", dict(batch_size=0)),
             ("legacy-pipeline", dict(use_ast_rebinding=False)),
-            # pooled-slim ships the corpus through the pool initializer,
-            # pooled-fat a map-only backend's full-source payloads, and
+            # pooled-slim ships the corpus through the pool initializer, and
             # pipeline-cache-off the uncached compile path.
             ("pooled-slim", dict(batch_size=32, jobs=2)),
-            ("pooled-fat", dict(batch_size=32, jobs=2)),
             ("pipeline-cache-off", dict(batch_size=32, cache_pipeline_results=False)),
         ]
         journals = []
         for label, overrides in runs:
             state_dir = tmp_path / label
-            campaign = Campaign(config(True, state_dir=str(state_dir), **overrides))
-            if label == "pooled-fat":
-                run_fat(campaign, corpus, shard_count=2)
-            else:
-                campaign.run_sources(corpus, shard_count=2)
+            Campaign(config(True, state_dir=str(state_dir), **overrides)).run_sources(
+                corpus, shard_count=2
+            )
             journals.append((label, unit_lines(state_dir)))
         baseline_label, baseline = journals[0]
         assert baseline, "journal must contain unit records"

@@ -13,7 +13,6 @@ from repro.testing.executor import (
     ProcessPoolExecutor,
     SerialExecutor,
     default_executor,
-    map_streaming,
     worker_source,
 )
 from repro.testing.harness import Campaign, CampaignConfig, CampaignResult
@@ -83,34 +82,8 @@ class TestExecutors:
 
     def test_jobs_one_pool_never_spawns_workers(self):
         pool = ProcessPoolExecutor(jobs=1)
-        seen = []
-        assert pool.map(_double, [1, 2, 3], completed=seen.append) == [2, 4, 6]
-        assert seen == [2, 4, 6]  # serial: completion order == item order
+        assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
         assert pool._pool is None  # delegated to SerialExecutor, no spawn
-
-
-class TestSinglePassGather:
-    """The pool's map() gathers each future exactly once: callbacks stream in
-    completion order while the return value keeps submission order."""
-
-    def test_return_order_is_submission_order_callbacks_completion_order(self):
-        # Three workers, three items whose delays invert completion order
-        # (generous gaps so scheduler noise cannot reorder them).
-        items = [(0, 0.8), (1, 0.05), (2, 0.4)]
-        completions = []
-        with ProcessPoolExecutor(jobs=3) as pool:
-            results = pool.map(_sleep_then_return, items, completed=completions.append)
-        assert results == [0, 1, 2]
-        assert completions == [1, 2, 0]
-
-    def test_each_result_delivered_exactly_once(self):
-        items = [(i, 0.01) for i in range(12)]
-        completions = []
-        with ProcessPoolExecutor(jobs=4) as pool:
-            results = pool.map(_sleep_then_return, items, completed=completions.append)
-        assert results == list(range(12))
-        assert sorted(completions) == list(range(12))
-        assert len(completions) == 12  # once per item, no double-gathering
 
 
 class TestExceptionPropagation:
@@ -122,12 +95,6 @@ class TestExceptionPropagation:
         with ProcessPoolExecutor(jobs=2) as pool:
             with pytest.raises(ValueError, match="worker exploded"):
                 pool.map(_explode, [1, 2, 3])
-
-    def test_map_streaming_propagates_worker_exception(self):
-        seen = []
-        with ProcessPoolExecutor(jobs=2) as pool:
-            with pytest.raises(ValueError, match="worker exploded"):
-                map_streaming(pool, _explode, [1, 2, 3], completed=seen.append)
 
     def test_pool_survives_an_ordinary_worker_exception(self):
         # A ValueError in a task is not a pool failure; the persistent pool
@@ -244,21 +211,6 @@ class TestFaultContainment:
             time.sleep(2.0)
             ran = len(list(tmp_path.glob("ran-*")))
         assert ran < 7, f"queued futures were not cancelled ({ran}/7 ran)"
-
-
-class TestMapStreamingFeatureDetection:
-    def test_minimal_backend_gets_after_the_fact_callbacks(self):
-        class MinimalExecutor:
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        seen = []
-        results = map_streaming(MinimalExecutor(), _double, [1, 2, 3], completed=seen.append)
-        assert results == [2, 4, 6]
-        assert seen == [2, 4, 6]  # degraded mode: callback once per result
-
-    def test_no_callback_skips_detection(self):
-        assert map_streaming(SerialExecutor(), _double, [1, 2]) == [2, 4]
 
 
 class TestCampaignResultMerge:
@@ -385,12 +337,18 @@ class TestShardedCampaign:
         assert sharded.files_skipped_budget == 2
         assert sharded.variants_tested == 0
 
-    def test_invalid_shard_parameters(self):
+    def test_invalid_shard_parameters(self, tmp_path):
         campaign = Campaign(small_config())
         with pytest.raises(ValueError):
             campaign.plan(SEEDS, shard_count=0)
         with pytest.raises(ValueError):
             campaign.run_sources(SEEDS, shard_count=2, shard_index=5)
+        # A rejected shard index must not create the state directory.
+        state_dir = tmp_path / "state"
+        durable = Campaign(small_config(state_dir=str(state_dir)))
+        with pytest.raises(ValueError, match="out of range"):
+            durable.run_sources(SEEDS, shard_count=2, shard_index=5)
+        assert not state_dir.exists()
 
     def test_shard_index_run_honours_jobs(self):
         """--shard i/n --jobs m: the shard is sub-sharded over m workers."""

@@ -1,10 +1,14 @@
 """Campaign supervision: deadlines, retry, quarantine, chaos injection.
 
-The fault-tolerance contract of the supervisor (``repro.testing.supervisor``):
+The fault-tolerance contract of the supervisor (``repro.testing.supervisor``),
+through which every campaign runs:
 
-* **no-fault byte-identity** -- a supervised run with no faults injected
-  journals unit records byte-identical to the unsupervised pipeline and
-  produces the same report;
+* **no-fault byte-identity** -- with no faults injected, deadlines and the
+  quarantine policy change nothing: a supervised run journals unit records
+  byte-identical to a default-config run and produces the same report;
+* **fail-fast default** -- a default-config campaign aborts on its first
+  failing unit (exception or worker crash) with a ``UnitExecutionError``
+  naming it;
 * **degrade-and-continue** -- an injected crash (worker SIGKILL), hang
   (sleep past ``unit_timeout``) or deterministic exception costs exactly the
   poison unit: it is quarantined after ``max_retries`` and every batch-mate
@@ -79,6 +83,8 @@ def fingerprint(result) -> tuple:
 
 @pytest.mark.parametrize("language", ["minic", "while"])
 def test_supervised_no_fault_serial_byte_identical(tmp_path, language):
+    """In-process, a unit deadline and the quarantine policy leave every
+    unit record and the report unchanged when nothing fails."""
     corpus = corpus_for(language)
     plain = str(tmp_path / "plain")
     supervised = str(tmp_path / "supervised")
@@ -94,6 +100,8 @@ def test_supervised_no_fault_serial_byte_identical(tmp_path, language):
 
 
 def test_supervised_no_fault_pooled_byte_identical(tmp_path):
+    """On a pool too -- with the parent watchdog armed by the deadline --
+    a fault-free supervised run journals the default run's unit records."""
     corpus = corpus_for("while")
     plain = str(tmp_path / "plain")
     supervised = str(tmp_path / "supervised")
@@ -155,26 +163,50 @@ def test_injected_exception_quarantined_batchmates_intact(tmp_path, backend):
     assert list(load_quarantine_records(chaos_state / "journal.jsonl")) == [record.key]
 
 
-def test_exception_abort_names_poison_unit_legacy_path(tmp_path):
-    """Unsupervised (fail-fast) runs wrap worker failures with unit context."""
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
+def test_exception_abort_names_poison_unit(tmp_path, jobs):
+    """Default-policy (fail-fast) runs abort with the failing unit's context."""
     corpus = corpus_for("minic")
-    config = config_for("minic", chaos=ChaosSpec(raise_at=(1,)), state_dir=str(tmp_path))
+    config = config_for(
+        "minic", jobs=jobs, chaos=ChaosSpec(raise_at=(1,)), state_dir=str(tmp_path)
+    )
     assert not config.supervised
     with pytest.raises(UnitExecutionError) as excinfo:
         Campaign(config).run_sources(corpus)
     error = excinfo.value
     assert error.unit_name in corpus
     assert error.unit_key
+    assert error.kind == "exception"
     assert error.span in str(error)
     assert "ChaosError" in str(error)
-    # Fail-fast: the unit before the poison one is journaled, and nothing
-    # after the poison unit ran.
+    if jobs == 1:
+        # Fail-fast: the unit before the poison one is journaled, and nothing
+        # after the poison unit ran.  (On a pool, how much of the other
+        # shard ran before the abort killed it is a matter of timing.)
+        plan = Campaign(config_for("minic")).plan(corpus)
+        first = plan.shards[0].units[0]
+        assert first.ordinal == 0
+        assert [json.loads(line)["key"] for line in unit_lines(tmp_path)] == [
+            unit_key_for(first)
+        ]
+
+
+def test_default_policy_worker_crash_names_the_unit():
+    """A worker that dies under the default policy aborts the campaign with
+    the crashing unit's identity, not a bare ``BrokenProcessPool``."""
+    corpus = corpus_for("minic")
+    config = config_for("minic", jobs=2, chaos=ChaosSpec(crash_at=(1,)))
+    assert not config.supervised
     plan = Campaign(config_for("minic")).plan(corpus)
-    first = plan.shards[0].units[0]
-    assert first.ordinal == 0
-    assert [json.loads(line)["key"] for line in unit_lines(tmp_path)] == [
-        unit_key_for(first)
-    ]
+    poison = next(
+        unit for shard in plan.shards for unit in shard.units if unit.ordinal == 1
+    )
+    with pytest.raises(UnitExecutionError) as excinfo:
+        Campaign(config).run_sources(corpus)
+    error = excinfo.value
+    assert error.kind == "crash"
+    assert error.unit_name == poison.name
+    assert error.unit_key == unit_key_for(poison)
 
 
 def test_exception_abort_supervised_raises_after_retries():

@@ -120,7 +120,7 @@ class TestDdminReduce:
             def __init__(self) -> None:
                 self.batches: list[int] = []
 
-            def map(self, fn, items, completed=None):
+            def map(self, fn, items):
                 items = list(items)
                 self.batches.append(len(items))
                 return [fn(item) for item in items]
@@ -312,7 +312,7 @@ class TestSerialExecutorMarker:
         )
 
         class Batching:
-            def map(self, fn, items, completed=None):
+            def map(self, fn, items):
                 return [fn(item) for item in items]
 
         batched = ddmin_reduce(
