@@ -114,6 +114,40 @@ class TestReferenceInterpreter:
     def test_try_run_returns_none_on_rejection(self, frontend):
         assert frontend.try_run_reference_source("int main( { $$$") is None
 
+    def test_batch_asks_once_per_skeleton_run_and_keeps_order(
+        self, frontend, sample, skeleton
+    ):
+        # Each run of consecutive same-skeleton variants asks the runner
+        # hook once; a skeleton without a runner runs variant by variant.
+        # Either way the batch observes what per-variant interpretation
+        # observes, in input order.
+        other = frontend.extract_skeleton(sample, name="other")
+        asked = []
+
+        class Hooked(type(frontend)):
+            def runner_for_skeleton(self, candidate):
+                asked.append(candidate)
+                if candidate is other:
+                    return None
+                return super().runner_for_skeleton(candidate)
+
+        def variants(of, count):
+            vectors = SkeletonEnumerator(of).vectors(limit=count)
+            return [BoundVariant(of, index, vector) for index, vector in enumerate(vectors)]
+
+        own, others = variants(skeleton, 3), variants(other, 2)
+        batch = own[:2] + others + own[2:]
+        results = Hooked().run_reference_batch(batch)
+        expected = [frontend.run_reference_variant(variant) for variant in batch]
+        assert [(r.status, r.observable()) for r in results] == [
+            (e.status, e.observable()) for e in expected
+        ]
+        assert [id(candidate) for candidate in asked] == [
+            id(skeleton),
+            id(other),
+            id(skeleton),
+        ]
+
 
 class TestExecutorPair:
     def test_executor_surface(self, frontend, sample):

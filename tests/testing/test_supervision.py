@@ -31,6 +31,7 @@ from repro.testing.executor import ProcessPoolExecutor, SerialExecutor
 from repro.testing.harness import (
     Campaign,
     CampaignConfig,
+    CampaignShard,
     ChaosSpec,
     UnitExecutionError,
 )
@@ -209,6 +210,21 @@ def test_default_policy_worker_crash_names_the_unit():
     assert error.unit_key == unit_key_for(poison)
 
 
+def test_default_policy_pooled_abort_leaves_the_callers_pool_usable():
+    """The abort kills the shard still in flight; a pool the caller owns
+    respawns for the next campaign."""
+    corpus = corpus_for("minic")
+    config = config_for("minic", jobs=2, chaos=ChaosSpec(raise_at=(1,)))
+    with ProcessPoolExecutor(jobs=2) as executor:
+        with pytest.raises(UnitExecutionError, match="after 1 attempts"):
+            Campaign(config).run_sources(corpus, executor=executor)
+        clean = Campaign(config_for("minic", jobs=2)).run_sources(
+            corpus, executor=executor
+        )
+    assert clean.variants_tested == unit_count("minic") * 8
+    assert clean.quarantined == []
+
+
 def test_exception_abort_supervised_raises_after_retries():
     corpus = corpus_for("minic")
     config = config_for(
@@ -383,6 +399,57 @@ def test_tier_config_degradation_ladder():
     from repro.store import config_fingerprint
 
     assert config_fingerprint(tier2) == config_fingerprint(config)
+
+
+def test_shard_stops_at_its_first_failed_unit():
+    """The shard runner reports one failure, the first, and runs nothing
+    after it: the supervisor owns the rest of the shard."""
+    corpus = corpus_for("minic")
+    campaign = Campaign(config_for("minic", chaos=ChaosSpec(raise_at=(1, 2))))
+    shard = campaign.plan(corpus, shard_count=1).shards[0]
+    outcome = campaign._run_shard(shard)
+    [(position, failure)] = outcome.failed
+    poison = shard.units[position]
+    assert poison.ordinal == 1
+    assert failure.kind == "exception"
+    assert failure.unit_key == unit_key_for(poison)
+    assert "ChaosError" in failure.detail
+    before = Campaign(config_for("minic"))._run_shard(
+        CampaignShard(index=shard.index, units=shard.units[:position])
+    )
+    assert outcome.result.variants_tested == before.result.variants_tested
+
+
+def test_only_the_failed_unit_is_charged():
+    """The units a shard left behind at its failure are requeued uncharged;
+    retries are counted against the failed unit alone."""
+    corpus = corpus_for("minic")
+    campaign = Campaign(
+        config_for(
+            "minic",
+            on_fault="quarantine",
+            max_retries=1,
+            chaos=ChaosSpec(raise_at=(1,)),
+        )
+    )
+    plan = campaign.plan(corpus, shard_count=1)
+    work, _ = campaign._partition(plan.shards, None, False)
+    supervisor = CampaignSupervisor(campaign, work, SerialExecutor(), None)
+    [result] = supervisor.run()
+    poison = next(unit for unit in plan.shards[0].units if unit.ordinal == 1)
+    assert supervisor.attempts == {unit_key_for(poison): 2}
+    assert [q.key for q in result.quarantined] == [unit_key_for(poison)]
+    assert result.variants_tested == (unit_count("minic") - 1) * 8
+
+
+def test_supervised_picks_only_the_retry_budget():
+    def budget(**overrides):
+        campaign = Campaign(config_for("minic", max_retries=3, **overrides))
+        return CampaignSupervisor(campaign, [], SerialExecutor(), None).retry_budget
+
+    assert budget() == 0
+    assert budget(on_fault="quarantine") == 3
+    assert budget(unit_timeout=60) == 3
 
 
 def test_supervised_engagement_conditions():
