@@ -24,8 +24,13 @@ indistinguishable from ``execute_while(variant.program, max_steps)``
   containing a division (the sole runtime error, and ``TIMEOUT`` must win
   over ``ERROR`` exactly when the interpreter's earlier tick would have
   fired), at every loop back-edge (so non-terminating loops still exhaust
-  the budget), and at function exit (so a straight-line overrun still times
-  out instead of returning OK);
+  the budget or are proved non-terminating), and at function exit (so a
+  straight-line overrun still times out instead of returning OK);
+* a run past :data:`~repro.compiler.driver.TIER_UP_STEPS` that a back-edge
+  probe proves can never leave its loop returns the budget's ``TIMEOUT`` at
+  once: its stdout is empty and its detail is ``exceeded N steps`` whenever
+  the run stops, so stopping early changes nothing observable (see
+  :class:`_Probe`);
 * division is ``int(left / right)`` after a zero check, byte-for-byte the
   interpreter's semantics (including C-style truncation toward zero and any
   ``OverflowError`` a huge quotient would raise);
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.compiler.driver import TIER_UP_STEPS
 from repro.core.execution import ExecutionResult, ExecutionStatus
 from repro.core.holes import CharacteristicVector, Skeleton
 from repro.lang.ast import (
@@ -85,6 +91,193 @@ def _has_division(node: WhileNode) -> bool:
     )
 
 
+# -- non-termination proofs ----------------------------------------------------
+
+#: Brent save points a run's probe passes without a proof before it gives up
+#: and leaves the run to the plain budget check: at most
+#: ``2 ** (_PROBE_ROUNDS + 1) - 1`` probed back-edges past ``TIER_UP_STEPS``.
+_PROBE_ROUNDS = 10
+
+#: The bounds of a name missing from the store, which reads as 0.
+_ZERO = (0, 0)
+
+
+class _Refuse(Exception):
+    """Internal: the abstract pass cannot bound a loop body (a division, an
+    inner loop or a product of unbounded operands)."""
+
+
+class _Probe:
+    """One run's non-termination check at its loop back-edges.
+
+    Generated code calls it at a back-edge once the step count passes
+    :data:`~repro.compiler.driver.TIER_UP_STEPS`, with the loop's site
+    index and the store at the loop head; the call returns the step count
+    at which the back-edge calls it again.  It raises the budget's
+    :class:`_Timeout` when the budget is spent or when it proves that the
+    run never leaves the loop:
+
+    (a) Brent's cycle check finds the loop head with a store equal to a
+        saved one.  WHILE is closed, structured and deterministic, so a
+        repeated (loop head, store) state repeats forever;
+    (b) at a Brent save point, the interval box between the saved and the
+        current store, left open in the direction each variable moved, makes
+        the guard definitely true and holds one abstract pass of the body
+        (:func:`_recurrent`): no state the loop can reach leaves it.
+
+    Either proof is exact: a WHILE ``TIMEOUT`` carries empty stdout and the
+    constant detail, whenever the budget would have run out.  After
+    ``_PROBE_ROUNDS`` save points without a proof it returns the budget, so
+    the back-edge falls back to a single comparison.
+    """
+
+    __slots__ = ("_loops", "_names", "_ms", "_site", "_saved", "_power", "_lam", "_rounds")
+
+    def __init__(self, loops: Sequence[While], names: dict[int, str], max_steps: int) -> None:
+        self._loops = loops
+        #: ``id(var)`` -> the name the run reads or writes at that site.
+        self._names = names
+        self._ms = max_steps
+        self._site = -1
+        self._saved: dict[str, int] | None = None
+        self._power = 1
+        self._lam = 0
+        self._rounds = 0
+
+    def __call__(self, site: int, store: dict[str, int], steps: int) -> int:
+        if steps > self._ms:
+            raise _Timeout()
+        same_loop = site == self._site
+        if same_loop and store == self._saved:
+            raise _Timeout()  # (a)
+        self._lam += 1
+        if self._lam < self._power:
+            return steps
+        if same_loop and _recurrent(self._loops[site], self._saved, store, self._names):
+            raise _Timeout()  # (b)
+        if self._rounds == _PROBE_ROUNDS:
+            return self._ms
+        self._rounds += 1
+        self._site, self._saved = site, dict(store)
+        self._power *= 2
+        self._lam = 0
+        return steps
+
+
+def _recurrent(loop: While, saved: dict[str, int], current: dict[str, int], names) -> bool:
+    """Rule (b): whether the box spanned by ``saved`` and ``current`` proves
+    that ``loop``, at its head with store ``current``, never exits."""
+    box = {}
+    for name in saved.keys() | current.keys():
+        old, new = saved.get(name, 0), current.get(name, 0)
+        box[name] = (old, None) if new > old else (None, old) if new < old else (old, old)
+    try:
+        return _truth(loop.condition, box, names) is True and _within(
+            _post(loop.body, box, names), box
+        )
+    except _Refuse:
+        return False
+
+
+def _bounds(node: WhileNode, box, names) -> tuple[int | None, int | None]:
+    """Bounds of an arithmetic expression over ``box``; ``None`` is unbounded."""
+    if isinstance(node, Num):
+        return node.value, node.value
+    if isinstance(node, Var):
+        return box.get(names[id(node)], _ZERO)
+    if isinstance(node, BinaryArith):
+        (a, b), (c, d) = _bounds(node.left, box, names), _bounds(node.right, box, names)
+        if node.op == "+":
+            return (
+                None if a is None or c is None else a + c,
+                None if b is None or d is None else b + d,
+            )
+        if node.op == "-":
+            return (
+                None if a is None or d is None else a - d,
+                None if b is None or c is None else b - c,
+            )
+        if node.op == "*" and None not in (a, b, c, d):
+            products = (a * c, a * d, b * c, b * d)
+            return min(products), max(products)
+    raise _Refuse()
+
+
+def _truth(node: WhileNode, box, names) -> bool | None:
+    """``True``/``False`` when a condition is decided over ``box``, else ``None``."""
+    if isinstance(node, BoolLit):
+        return node.value
+    if isinstance(node, Not):
+        value = _truth(node.operand, box, names)
+        return None if value is None else not value
+    if isinstance(node, BoolBinary):
+        left, right = _truth(node.left, box, names), _truth(node.right, box, names)
+        decisive = node.op == "or"  # the operand value that decides the result
+        if left is decisive or right is decisive:
+            return decisive
+        return None if left is None or right is None else not decisive
+    if isinstance(node, Compare):
+        op, left, right = node.op, _bounds(node.left, box, names), _bounds(node.right, box, names)
+        if op in (">", ">="):
+            op, left, right = ("<" if op == ">" else "<="), right, left
+        (a, b), (c, d) = left, right
+        if op == "<":
+            if b is not None and c is not None and b < c:
+                return True
+            return False if a is not None and d is not None and a >= d else None
+        if op == "<=":
+            if b is not None and c is not None and b <= c:
+                return True
+            return False if a is not None and d is not None and a > d else None
+        if a is not None and a == b == c == d:
+            return op == "=="
+        if (b is not None and c is not None and b < c) or (
+            a is not None and d is not None and d < a
+        ):
+            return op == "!="
+        return None
+    raise _Refuse()
+
+
+def _post(node: WhileNode, box, names):
+    """The box after one abstract pass of a loop body statement."""
+    if isinstance(node, Skip):
+        return box
+    if isinstance(node, Assign):
+        box = dict(box)
+        box[names[id(node.target)]] = _bounds(node.value, box, names)
+        return box
+    if isinstance(node, Seq):
+        for statement in node.statements:
+            box = _post(statement, box, names)
+        return box
+    if isinstance(node, If):
+        decided = _truth(node.condition, box, names)
+        if decided is not None:
+            return _post(node.then_branch if decided else node.else_branch, box, names)
+        then_box = _post(node.then_branch, box, names)
+        else_box = _post(node.else_branch, box, names)
+        joined = {}
+        for name in then_box.keys() | else_box.keys():
+            (a, b), (c, d) = then_box.get(name, _ZERO), else_box.get(name, _ZERO)
+            joined[name] = (
+                None if a is None or c is None else min(a, c),
+                None if b is None or d is None else max(b, d),
+            )
+        return joined
+    raise _Refuse()  # an inner loop
+
+
+def _within(inner, outer) -> bool:
+    for name in inner.keys() | outer.keys():
+        (a, b), (c, d) = inner.get(name, _ZERO), outer.get(name, _ZERO)
+        if c is not None and (a is None or a < c):
+            return False
+        if d is not None and (b is None or b > d):
+            return False
+    return True
+
+
 class _Emitter:
     """Translates one skeleton program into the body of a Python function.
 
@@ -94,6 +287,10 @@ class _Emitter:
     *concrete* mode: the program has no holes to parameterise, so every
     name is embedded as a string literal (the vector argument is ignored)
     -- used to compile the optimizer's *output* for oracle-side execution.
+
+    Every loop back-edge checks the step count against ``_lim``, which is
+    the budget capped at ``TIER_UP_STEPS``; past it the back-edge calls the
+    run's :class:`_Probe` with its loop's site index.
     """
 
     def __init__(self, hole_of: dict[int, int] | None) -> None:
@@ -101,6 +298,9 @@ class _Emitter:
         self._lines: list[str] = []
         self._indent = 1
         self._pending = 0
+        #: The ``While`` nodes by site index, in the order their back-edges
+        #: were emitted.
+        self._loops: list[While] = []
 
     def _emit(self, line: str) -> None:
         self._lines.append("    " * self._indent + line)
@@ -121,6 +321,15 @@ class _Emitter:
         if self._pending:
             self._emit(f"s += {self._pending}" if self._pending > 1 else "s += 1")
             self._pending = 0
+
+    def _backedge(self, loop: While) -> None:
+        """Materialise the iteration's ticks; past ``_lim`` the run's probe
+        checks the budget and looks for a proof that the loop never exits."""
+        self._spill()
+        self._emit("if s > _lim:")
+        self._emit("    if _pb is None: _pb = _PB(N, _ms)")
+        self._emit(f"    _lim = _pb({len(self._loops)}, _s, s)")
+        self._loops.append(loop)
 
     # -- expressions -------------------------------------------------------
 
@@ -174,7 +383,7 @@ class _Emitter:
             self._emit(f"if not {self._expr(node.condition)}: break")
             self._stmt_block(node.body)
             self._tick()  # per-iteration tick, after the body
-            self._flush()  # back-edge: budget check every iteration
+            self._backedge(node)
             self._indent -= 1
             return
         if isinstance(node, If):
@@ -207,11 +416,27 @@ class _Emitter:
     def translate(self, program: WhileNode) -> str:
         self._emit("_s = {}")
         self._emit("s = 0")
+        self._emit("_lim = _ms if _ms < _TU else _TU")
+        self._emit("_pb = None")
         self._stmt(program)
         self._flush()  # a straight-line overrun must still time out
         self._emit("return _s")
         body = "\n".join(self._lines)
         return f"def _skeleton_main(N, _ms):\n{body}\n"
+
+    def probe_factory(self):
+        """``_PB(N, max_steps)``: a fresh :class:`_Probe` for one run, naming
+        each loop variable as the run does -- through the vector in skeleton
+        mode, because the binder rebinds the shared AST in place."""
+        loops = tuple(self._loops)
+        sites = {id(var): var for loop in loops for var in loop.walk() if isinstance(var, Var)}
+        if self._hole_of is None:
+            names = {key: var.name for key, var in sites.items()}
+            return lambda N, max_steps: _Probe(loops, names, max_steps)
+        holes = [(key, self._hole_of[key]) for key in sites]
+        return lambda N, max_steps: _Probe(
+            loops, {key: N[index] for key, index in holes}, max_steps
+        )
 
 
 #: Vectorized trampoline, compiled once into each skeleton's namespace: a
@@ -271,9 +496,11 @@ class WhileSkeletonRunner:
         return results
 
 
-def _compile_runner(source: str, filename: str) -> WhileSkeletonRunner | None:
+def _compile_runner(source: str, filename: str, probe_factory) -> WhileSkeletonRunner | None:
     namespace = {
         "_TO": _Timeout,
+        "_TU": TIER_UP_STEPS,
+        "_PB": probe_factory,
         "_div": _div,
         "_RF": _RuntimeFault,
         "_R": ExecutionResult,
@@ -292,12 +519,13 @@ def _compile_runner(source: str, filename: str) -> WhileSkeletonRunner | None:
 
 def compile_skeleton_runner(program: WhileNode, identifiers: Sequence[Var]) -> WhileSkeletonRunner | None:
     """Translate one skeleton program; ``None`` when outside the subset or too deep."""
-    hole_of = {id(node): index for index, node in enumerate(identifiers)}
+    emitter = _Emitter({id(node): index for index, node in enumerate(identifiers)})
     try:
-        source = _Emitter(hole_of).translate(program)
+        source = emitter.translate(program)
+        probe_factory = emitter.probe_factory()
     except (_Bail, KeyError):
         return None
-    return _compile_runner(source, "<while-skeleton>")
+    return _compile_runner(source, "<while-skeleton>", probe_factory)
 
 
 def compile_program_runner(program: WhileNode) -> WhileSkeletonRunner | None:
@@ -311,11 +539,12 @@ def compile_program_runner(program: WhileNode) -> WhileSkeletonRunner | None:
     ``run(())`` -- the vector argument is ignored.  ``None`` when the
     program is outside the subset or nests too deep for CPython.
     """
+    emitter = _Emitter(None)
     try:
-        source = _Emitter(None).translate(program)
+        source = emitter.translate(program)
     except _Bail:
         return None
-    return _compile_runner(source, "<while-program>")
+    return _compile_runner(source, "<while-program>", emitter.probe_factory())
 
 
 def runner_for_skeleton(skeleton: Skeleton) -> WhileSkeletonRunner | None:

@@ -220,7 +220,8 @@ class ShardOutcome:
     result.
 
     ``result`` merges every unit that *completed* (those were journaled by
-    the worker itself); ``exhausted`` says ``stop_after_bugs`` fired.
+    the worker itself) and ``units_done`` counts them; ``exhausted`` says
+    ``stop_after_bugs`` fired.
     ``failed`` holds at most one ``(position, failure)``: the shard stops at
     its first unit that raised or overran its worker-side deadline, and
     ``position`` indexes the dispatched unit tuple, so the supervisor knows
@@ -232,6 +233,7 @@ class ShardOutcome:
     result: CampaignResult
     failed: tuple[tuple[int, UnitFailure], ...] = ()
     exhausted: bool = False
+    units_done: int = 0
 
 
 @contextlib.contextmanager
@@ -1075,7 +1077,9 @@ class Campaign:
         self._shard_bug_keys = set()
         result.wall_seconds = time.perf_counter() - started
         result.cache_stats = self._stats_delta(stats_entry)
-        return ShardOutcome(result=result, failed=failed, exhausted=exhausted)
+        return ShardOutcome(
+            result=result, failed=failed, exhausted=exhausted, units_done=units_done
+        )
 
     def _extract_cached(self, name: str, source: str) -> Skeleton:
         key = (name, hashlib.sha256(source.encode()).hexdigest())

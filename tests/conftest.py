@@ -1,11 +1,22 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, its marks and its Hypothesis profile."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.problem import flat_problem, unscoped_problem
 from repro.corpus.seeds import paper_seed_programs
+
+# Every run draws the same examples (seeded from each test's own source), so
+# two runs of the suite test the same inputs.  Derandomized runs keep no
+# example database, so the suite writes no .hypothesis directory either.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line("markers", "slow: a test that takes more than a few seconds")
 
 
 @pytest.fixture(scope="session")

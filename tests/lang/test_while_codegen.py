@@ -6,17 +6,32 @@ the rebound AST for every characteristic vector and every step budget.
 These tests sweep the seed corpus (exhaustively for small vector spaces,
 randomly sampled otherwise) under a tight, a medium and the default budget
 so the tick accounting -- the subtle part -- is stressed at the exact
-boundaries where TIMEOUT must win or lose against OK/ERROR.
+boundaries where TIMEOUT must win or lose against OK/ERROR.  Loops that run
+past ``TIER_UP_STEPS`` (``loop_cases``) check the non-termination proofs the
+same way, and ``TestBoxProof`` checks the interval-box rule on its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
+import pytest
+from loop_cases import LOOP_CASES, PROOF_BUDGETS
+
 from repro.corpus.while_seeds import build_while_corpus
-from repro.lang.codegen import compile_skeleton_runner, runner_for_skeleton
+from repro.lang.ast import Var, While
+from repro.lang.codegen import (
+    _PROBE_ROUNDS,
+    _Probe,
+    _recurrent,
+    _Timeout,
+    compile_skeleton_runner,
+    runner_for_skeleton,
+)
 from repro.lang.compile import execute_while
+from repro.lang.parser import parse_program
 from repro.lang.skeleton import extract_skeleton
 
 #: Step budgets: the default, plus tight ones that land mid-program so a
@@ -131,6 +146,13 @@ class TestSemanticCorners:
         assert actual == expected
         assert "c=-3\n" in actual[2]  # not floor's -4
 
+    @pytest.mark.parametrize("source, status", LOOP_CASES.values(), ids=list(LOOP_CASES))
+    def test_loops_past_the_tier_up_threshold(self, source, status):
+        for budget in PROOF_BUDGETS:
+            actual, expected = self.run_both(source, budget)
+            assert actual == expected, f"budget={budget}"
+        assert actual[0].value == status
+
 
 class TestRunnerLifecycle:
     def test_runner_memoised_in_skeleton_metadata(self):
@@ -160,6 +182,24 @@ class TestRunnerLifecycle:
         assert before == after
 
 
+    def test_proofs_name_loop_variables_through_the_vector(self):
+        # Bound to a vector whose guard reads y, the shared AST is a loop
+        # that never exits.  The countdown vector's run must still stop: a
+        # proof that read the AST's names would claim it never does.
+        source = "x := 3000 ; y := 1 ; while (x > 0) do ( x := (x - y) )"
+        skeleton = extract_skeleton(source)
+        countdown = skeleton.original_vector
+        guard = next(node for node in skeleton.bind(countdown).walk() if isinstance(node, While))
+        identifiers = skeleton.metadata["binder"].identifiers
+        site = next(k for k, node in enumerate(identifiers) if node is guard.condition.left)
+        endless = tuple("y" if index == site else name for index, name in enumerate(countdown))
+        expected = execute_while(skeleton.bind(countdown), max_steps=200_000)
+        assert execute_while(skeleton.bind(endless), max_steps=200_000).status.value == "timeout"
+        # translated and run while the AST is bound to `endless`
+        actual = runner_for_skeleton(skeleton).run(countdown, max_steps=200_000)
+        assert result_tuple(actual) == result_tuple(expected)
+        assert actual.status.value == "ok"
+
     def test_loops_nested_past_cpython_limit_are_not_translated(self):
         # CPython compiles at most 20 statically nested blocks.
         def nested(depth):
@@ -169,6 +209,115 @@ class TestRunnerLifecycle:
         skeleton = extract_skeleton(nested(21))
         assert runner_for_skeleton(skeleton) is None
         assert skeleton.metadata["codegen_runner"] is False
+
+
+class TestCycleCheck:
+    """Rule (a) and the probe's budget on their own."""
+
+    def test_a_repeated_store_proves_only_at_the_same_loop(self):
+        probe = _Probe((), {}, 10_000)
+        assert probe(0, {"x": 1}, 4_001) == 4_001  # saved
+        assert probe(1, {"x": 1}, 4_002) == 4_002  # another loop's head
+        with pytest.raises(_Timeout):
+            probe(0, {"x": 1}, 4_003)
+
+    def test_the_budget_still_wins(self):
+        probe = _Probe((), {}, 4_001)
+        assert probe(0, {"x": 1}, 4_001) == 4_001
+        with pytest.raises(_Timeout):
+            probe(0, {"x": 2}, 4_002)
+
+    def test_gives_up_after_its_rounds(self):
+        source = LOOP_CASES["count-up"][0]
+        loop = next(node for node in parse_program(source).walk() if isinstance(node, While))
+        probe = _Probe((loop,), {id(loop.condition.left): "x", id(loop.body.target): "x"}, 200_000)
+        steps = 4_000
+        while (limit := probe(0, {"x": steps}, steps)) == steps:
+            steps += 1
+        assert limit == 200_000
+        # one call per back-edge up to the save point after the last round
+        assert steps - 4_000 == 2 ** (_PROBE_ROUNDS + 1) - 2
+
+
+COMPARISONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+class TestBoxProof:
+    """Rule (b) on its own: the box spanned by two loop-head stores of a run
+    proves the loop never exits, or says nothing."""
+
+    @staticmethod
+    def proves(source: str, saved: dict, current: dict) -> bool:
+        loop = next(node for node in parse_program(source).walk() if isinstance(node, While))
+        names = {id(node): node.name for node in loop.walk() if isinstance(node, Var)}
+        return _recurrent(loop, saved, current, names)
+
+    def test_guard_the_body_never_writes(self):
+        source = LOOP_CASES["guard"][0]
+        assert self.proves(source, {"a": 10, "b": -19_999}, {"a": 10, "b": -20_009})
+
+    def test_bignum_growth(self):
+        source = LOOP_CASES["bignum"][0]
+        saved, current = {"i": 2**600, "s": 2**600 + 1}, {"i": 2**601, "s": 2**601 + 1}
+        assert self.proves(source, saved, current)
+
+    def test_branches_join_unless_the_guard_decides_them(self):
+        source = "x := 1 ; while (x > 0) do ( if (x > 100) then x := (x + 1) else x := (x + 2) )"
+        assert self.proves(source, {"x": 50}, {"x": 52})  # undecided: both arms
+        assert self.proves(source, {"x": 200}, {"x": 201})  # decided: the then arm
+        escaping = "x := 1 ; while (x > 0) do ( if (x > 100) then x := (x + 1) else x := (0 - x) )"
+        assert not self.proves(escaping, {"x": 50}, {"x": 52})
+        assert self.proves(escaping, {"x": 200}, {"x": 201})
+
+    def test_negated_and_combined_guards(self):
+        source = "x := 1 ; while (not (x < 0) and true) do ( x := (x + 1) )"
+        assert self.proves(source, {"x": 7}, {"x": 8})
+        undecided = "x := 1 ; while (not (x < 0) or false) do ( x := (x + 1) )"
+        assert not self.proves(undecided, {"x": -7}, {"x": -6})
+
+    @pytest.mark.parametrize("op", sorted(COMPARISONS))
+    def test_comparisons_decide_exactly_at_their_bounds(self, op):
+        holds = COMPARISONS[op]
+        for bound in (3, 4, 5):
+            # y stays 4: the box is [4, 4]
+            source = f"y := 4 ; while (y {op} {bound}) do ( y := (y + 0) )"
+            assert self.proves(source, {"y": 4}, {"y": 4}) is holds(4, bound), source
+            # y grows from 4: the box is [4, None]
+            source = f"y := 4 ; while (y {op} {bound}) do ( y := (y + 2) )"
+            expected = all(holds(y, bound) for y in range(4, 99))
+            assert self.proves(source, {"y": 4}, {"y": 6}) is expected, source
+
+    def test_a_name_missing_from_the_store_reads_as_zero(self):
+        source = "b := 1 ; while (a < 1) do ( b := (b + 1) )"
+        assert self.proves(source, {"b": 5}, {"b": 6})
+        assert not self.proves(source, {"a": -1, "b": 5}, {"a": 0, "b": 6})
+
+    @pytest.mark.parametrize(
+        "case, saved, current",
+        [
+            ("countdown", {"x": 1000}, {"x": 999}),
+            ("count-up", {"x": 2000}, {"x": 2001}),
+            ("late-division", {"y": 1000, "x": 0}, {"y": 999, "x": 0}),
+            ("unguarded-division", {"a": 10, "b": 1000, "x": 0}, {"a": 10, "b": 999, "x": 0}),
+        ],
+    )
+    def test_near_misses(self, case, saved, current):
+        assert not self.proves(LOOP_CASES[case][0], saved, current)
+
+    def test_refuses_an_inner_loop_and_unbounded_products(self):
+        store = {"a": 1, "b": 0, "c": 0}
+        assert not self.proves(LOOP_CASES["inner"][0], store, store)
+        product = "x := 2 ; while (x > 0) do ( x := (x * 2) )"
+        assert not self.proves(product, {"x": 4}, {"x": 8})
+        bounded = "x := 2 ; y := 3 ; while (x > 0) do ( y := (x * 2) )"
+        assert self.proves(bounded, {"x": 2, "y": 4}, {"x": 2, "y": 4})
 
 
 def test_compile_skeleton_runner_rejects_unknown_nodes():

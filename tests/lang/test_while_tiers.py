@@ -5,10 +5,13 @@ and tier-up selection in ``WhileCompiler.run``.
 ``execute_while(program, budget)`` for every program and budget.  The corpus
 leg compares the two on the optimized output of every ``wc`` version; the
 selection tests pin the run-length rule: a run moves to the generated tier
-only when it reaches ``TIER_UP_STEPS`` on the interpreter.
+only when it reaches ``TIER_UP_STEPS`` on the interpreter.  Loops that run
+past the threshold (``loop_cases``) check the non-termination proofs through
+both entry points.
 """
 
 import pytest
+from loop_cases import LOOP_CASES, PROOF_BUDGETS
 
 from repro.compiler.driver import TIER_UP_STEPS
 from repro.core.execution import ExecutionStatus
@@ -61,6 +64,18 @@ def test_generated_tier_matches_interpreter_on_corpus():
     assert len(programs) >= 40
     # The variants include miscompiled loops that never end.
     assert statuses == {ExecutionStatus.OK, ExecutionStatus.TIMEOUT}
+
+
+@pytest.mark.parametrize("source, status", LOOP_CASES.values(), ids=list(LOOP_CASES))
+def test_generated_tier_matches_interpreter_past_the_threshold(source, status):
+    outcome = compile_main(source)
+    program = outcome.module.program
+    runner = compile_program_runner(program)
+    for budget in PROOF_BUDGETS:
+        expected = execute_while(program, budget)
+        assert runner.run((), budget) == expected, budget
+        assert WhileCompiler("reference", 0, vm_max_steps=budget).run(outcome) == expected, budget
+    assert expected.status.value == status
 
 
 def test_loops_nested_past_cpython_limit_are_not_translated():

@@ -26,7 +26,7 @@ import json
 import pytest
 
 from repro.frontends import get_frontend
-from repro.store import load_quarantine_records, unit_key_for
+from repro.store import load_quarantine_records, read_journal, unit_key_for
 from repro.testing.executor import ProcessPoolExecutor, SerialExecutor
 from repro.testing.harness import (
     Campaign,
@@ -440,6 +440,50 @@ def test_only_the_failed_unit_is_charged():
     assert supervisor.attempts == {unit_key_for(poison): 2}
     assert [q.key for q in result.quarantined] == [unit_key_for(poison)]
     assert result.variants_tested == (unit_count("minic") - 1) * 8
+
+
+def checkpoints(state_dir) -> list[int]:
+    return [
+        record["units_seen"]
+        for record in read_journal(state_dir / "journal.jsonl")
+        if record["type"] == "checkpoint"
+    ]
+
+
+@pytest.mark.parametrize("language", ["minic", "while"])
+def test_serial_checkpoints_count_units(tmp_path, language):
+    """Shard, supervisor and final checkpoints all count units: a serial
+    journal's ``units_seen`` never decreases and ends at its unit count."""
+    Campaign(
+        config_for(language, state_dir=str(tmp_path), checkpoint_every=2)
+    ).run_sources(corpus_for(language))
+    seen = checkpoints(tmp_path)
+    assert len(seen) > 2
+    assert seen == sorted(seen)
+    assert seen[-1] == len(unit_lines(tmp_path)) == unit_count(language)
+
+
+def test_checkpoints_skip_a_failed_unit_and_its_leftovers(tmp_path):
+    """A failed unit adds nothing to ``units_seen``, and neither do the
+    units its shard left behind until they have run."""
+    Campaign(
+        config_for(
+            "minic",
+            state_dir=str(tmp_path),
+            checkpoint_every=10**6,  # only the supervisor and the final checkpoint
+            on_fault="quarantine",
+            max_retries=1,
+            chaos=ChaosSpec(raise_at=(1,)),
+        )
+    ).run_sources(corpus_for("minic"))
+    units = unit_count("minic")
+    seen = checkpoints(tmp_path)
+    # One checkpoint per folded task (unit 0 then the failure, the failed
+    # retry, the leftovers, in the order the retry's backoff allows), then
+    # the final one, which counts the quarantined unit too.
+    assert len(seen) == 4 and seen == sorted(seen)
+    assert seen[0] == 1
+    assert seen[-2:] == [units - 1, units]
 
 
 def test_supervised_picks_only_the_retry_budget():
