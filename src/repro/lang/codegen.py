@@ -103,8 +103,8 @@ _ZERO = (0, 0)
 
 
 class _Refuse(Exception):
-    """Internal: the abstract pass cannot bound a loop body (a division, an
-    inner loop or a product of unbounded operands)."""
+    """Internal: the abstract pass cannot bound a loop body (a division, a
+    product, an inner loop, or a condition other than a comparison)."""
 
 
 class _Probe:
@@ -180,63 +180,39 @@ def _recurrent(loop: While, saved: dict[str, int], current: dict[str, int], name
 
 
 def _bounds(node: WhileNode, box, names) -> tuple[int | None, int | None]:
-    """Bounds of an arithmetic expression over ``box``; ``None`` is unbounded."""
+    """Bounds of a sum or difference over ``box``; ``None`` is unbounded."""
     if isinstance(node, Num):
         return node.value, node.value
     if isinstance(node, Var):
         return box.get(names[id(node)], _ZERO)
-    if isinstance(node, BinaryArith):
+    if isinstance(node, BinaryArith) and node.op in ("+", "-"):
         (a, b), (c, d) = _bounds(node.left, box, names), _bounds(node.right, box, names)
-        if node.op == "+":
-            return (
-                None if a is None or c is None else a + c,
-                None if b is None or d is None else b + d,
-            )
         if node.op == "-":
-            return (
-                None if a is None or d is None else a - d,
-                None if b is None or c is None else b - c,
-            )
-        if node.op == "*" and None not in (a, b, c, d):
-            products = (a * c, a * d, b * c, b * d)
-            return min(products), max(products)
+            c, d = (None if d is None else -d), (None if c is None else -c)
+        return (
+            None if a is None or c is None else a + c,
+            None if b is None or d is None else b + d,
+        )
     raise _Refuse()
 
 
 def _truth(node: WhileNode, box, names) -> bool | None:
-    """``True``/``False`` when a condition is decided over ``box``, else ``None``."""
-    if isinstance(node, BoolLit):
-        return node.value
-    if isinstance(node, Not):
-        value = _truth(node.operand, box, names)
-        return None if value is None else not value
-    if isinstance(node, BoolBinary):
-        left, right = _truth(node.left, box, names), _truth(node.right, box, names)
-        decisive = node.op == "or"  # the operand value that decides the result
-        if left is decisive or right is decisive:
-            return decisive
-        return None if left is None or right is None else not decisive
-    if isinstance(node, Compare):
-        op, left, right = node.op, _bounds(node.left, box, names), _bounds(node.right, box, names)
-        if op in (">", ">="):
-            op, left, right = ("<" if op == ">" else "<="), right, left
-        (a, b), (c, d) = left, right
-        if op == "<":
-            if b is not None and c is not None and b < c:
-                return True
-            return False if a is not None and d is not None and a >= d else None
-        if op == "<=":
-            if b is not None and c is not None and b <= c:
-                return True
-            return False if a is not None and d is not None and a > d else None
-        if a is not None and a == b == c == d:
-            return op == "=="
-        if (b is not None and c is not None and b < c) or (
-            a is not None and d is not None and d < a
-        ):
-            return op == "!="
+    """``True``/``False`` when an ordering comparison is decided over
+    ``box``, else ``None``."""
+    if not isinstance(node, Compare):
+        raise _Refuse()
+    (a, b), (c, d) = _bounds(node.left, box, names), _bounds(node.right, box, names)
+    if node.op in ("==", "!="):
         return None
-    raise _Refuse()
+    if node.op in (">", ">="):
+        (a, b), (c, d) = (c, d), (a, b)
+    strict = node.op in ("<", ">")
+    # left < right (or <=) at every point of the box, or at none
+    if b is not None and c is not None and (b < c if strict else b <= c):
+        return True
+    if a is not None and d is not None and (a >= d if strict else a > d):
+        return False
+    return None
 
 
 def _post(node: WhileNode, box, names):

@@ -219,9 +219,9 @@ class ShardOutcome:
     """What a shard worker returns: per-unit outcomes, not just a merged
     result.
 
-    ``result`` merges every unit that *completed* (those were journaled by
-    the worker itself) and ``units_done`` counts them; ``exhausted`` says
-    ``stop_after_bugs`` fired.
+    ``result`` merges every unit that *completed* and ``units_done`` counts
+    them; the worker journaled each of them itself, except the unit at
+    which ``stop_after_bugs`` fired, which ``exhausted`` flags.
     ``failed`` holds at most one ``(position, failure)``: the shard stops at
     its first unit that raised or overran its worker-side deadline, and
     ``position`` indexes the dispatched unit tuple, so the supervisor knows
@@ -812,13 +812,13 @@ class Campaign:
                 return self._run_one_shard(plan, shard_index, executor, store, incremental)
             started = time.perf_counter()
             work, replayed = self._partition(plan.shards, store, incremental)
-            results = self._execute(work, executor, store)
+            results, units_done = self._execute(work, executor, store)
             merged = plan.base.merge(replayed)
             for item, result in zip(work, results):
                 merged = merged.merge(item.fold(result))
             merged.wall_seconds = time.perf_counter() - started
             if store is not None:
-                store.checkpoint(sum(len(item.shard.units) for item in work), merged)
+                store.checkpoint(units_done, merged)
             return merged
         finally:
             # Only executors this call created are shut down here;
@@ -920,12 +920,14 @@ class Campaign:
         work: list["_WorkItem"],
         executor,
         store: CampaignStore | None,
-    ) -> list[CampaignResult]:
+    ) -> tuple[list[CampaignResult], int]:
         """Run the partitioned work through the campaign supervisor,
-        journaling as it goes; one result per work item, in order."""
+        journaling as it goes: one result per work item, in order, and the
+        number of units that completed."""
         from repro.testing.supervisor import CampaignSupervisor
 
-        return CampaignSupervisor(self, work, executor, store).run()
+        supervisor = CampaignSupervisor(self, work, executor, store)
+        return supervisor.run(), supervisor.units_done
 
     def _run_one_shard(
         self,
@@ -953,7 +955,8 @@ class Campaign:
                 for subshard in _split_shard(item.shard, jobs)
             ]
         result = replayed
-        for item, partial in zip(work, self._execute(work, executor, store)):
+        partials, _ = self._execute(work, executor, store)
+        for item, partial in zip(work, partials):
             result = result.merge(item.fold(partial))
         result.wall_seconds = time.perf_counter() - started
         if shard_index == 0:

@@ -150,7 +150,7 @@ class CampaignSupervisor:
         self._in_flight: dict[Future, _InFlight] = {}
         self._payloads: _Payloads | None = None
         #: Units the folded outcomes completed: the checkpoints' ``units_seen``.
-        self._units_done = 0
+        self.units_done = 0
         self._progress = CampaignResult()
 
     # -- entry point -------------------------------------------------------
@@ -196,10 +196,10 @@ class CampaignSupervisor:
             if position + 1 < len(task.units):
                 self.pending.appendleft(replace(task, units=task.units[position + 1 :]))
             self._charge(task, task.units[position], failure.kind, failure.detail)
-        self._units_done += outcome.units_done
+        self.units_done += outcome.units_done
         self._progress = self._progress.merge(outcome.result)
         if self.store is not None:
-            self.store.checkpoint(self._units_done, self._progress)
+            self.store.checkpoint(self.units_done, self._progress)
 
     def _charge(self, task: _Task, unit: ShardUnit, kind: str, detail: str) -> None:
         """Attribute one failure to one unit: retry with backoff, or resolve."""

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
 
 from repro.core.problem import flat_problem, unscoped_problem
 from repro.corpus.seeds import paper_seed_programs
 
-# Every run draws the same examples (seeded from each test's own source), so
-# two runs of the suite test the same inputs.  Derandomized runs keep no
-# example database, so the suite writes no .hypothesis directory either.
-settings.register_profile("derandomized", derandomize=True)
-settings.load_profile("derandomized")
+try:
+    from hypothesis import settings
+except ImportError:
+    # Only the property tests need Hypothesis; the suites that run without
+    # it still get the marks below.
+    pass
+else:
+    # Every run draws the same examples (seeded from each test's own
+    # source), so two runs of the suite test the same inputs, and no example
+    # database carries failures from one run into the next.
+    settings.register_profile("derandomized", derandomize=True)
+    settings.load_profile("derandomized")
 
 
 def pytest_configure(config: pytest.Config) -> None:

@@ -480,10 +480,11 @@ def test_checkpoints_skip_a_failed_unit_and_its_leftovers(tmp_path):
     seen = checkpoints(tmp_path)
     # One checkpoint per folded task (unit 0 then the failure, the failed
     # retry, the leftovers, in the order the retry's backoff allows), then
-    # the final one, which counts the quarantined unit too.
+    # the final one; the quarantined unit never counts.
     assert len(seen) == 4 and seen == sorted(seen)
     assert seen[0] == 1
-    assert seen[-2:] == [units - 1, units]
+    assert seen[-2:] == [units - 1, units - 1]
+    assert len(unit_lines(tmp_path)) == units - 1
 
 
 def test_supervised_picks_only_the_retry_budget():
