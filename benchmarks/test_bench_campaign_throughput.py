@@ -123,8 +123,8 @@ def _run_stage_timed(corpus, state_dir: str):
     included), ``vm`` (interpreting optimized modules) and ``journal``
     (durable unit appends).  A per-stage depth guard keeps nested calls of
     the *same* stage (e.g. the batch tier falling back to the per-variant
-    interpreter, or ``compile_variant`` delegating to ``compile_unit``) from
-    double-counting while still attributing calls that cross stages.
+    interpreter) from double-counting while still attributing calls that
+    cross stages.
     Everything else (enumeration, oracle classification, merging, planning)
     shows up as ``other``.
     """
@@ -160,7 +160,6 @@ def _run_stage_timed(corpus, state_dir: str):
         (MiniCFrontend, "run_reference_batch", "execute"),
         (MiniCFrontend, "run_reference_variant", "execute"),
         (Compiler, "compile_variant", "compile"),
-        (Compiler, "compile_unit", "compile"),
         (Compiler, "compile_source", "compile"),
         (Compiler, "run", "vm"),
         (JournalWriter, "append_unit", "journal"),

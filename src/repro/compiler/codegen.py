@@ -7,7 +7,7 @@ whole step budget -- but the budget-exhausting runs (miscompiled loops such
 as ``if.end: %t5 = &@y; jump if.end``) spend 500,000 steps each in that
 loop.  Translating a module to Python and compiling it costs ~570 us, an
 order of magnitude more than a whole short run, so translation is not done
-up front: ``Compiler.run`` runs the closure VM with its budget capped at
+up front: ``CompileDriver.run`` runs the closure VM with its budget capped at
 ``driver.TIER_UP_STEPS`` and only a run that reaches the cap is restarted
 from scratch here, at the full budget.  The restart is exact because the VM
 is deterministic and its only output is the buffered result.

@@ -1,7 +1,8 @@
 """The compiler driver: source text in, compiled module (or crash) out.
 
-``Compiler`` glues the whole pipeline together the way the campaign harness
-uses a real compiler binary:
+:class:`CompileDriver` runs one compile flow the way the campaign harness
+uses a real compiler binary, for every language; :class:`Compiler` supplies
+mini-C's steps and :class:`repro.lang.compile.WhileCompiler` WHILE's:
 
 1. parse + resolve (the mini-C frontend);
 2. frontend-level seeded fault checks (the "C/C++ frontend" bug components
@@ -22,8 +23,10 @@ entries).
 
 from __future__ import annotations
 
+import abc
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.compiler.errors import CompilationError, InternalCompilerError
 from repro.compiler.faults import FaultKind, FaultSet
@@ -52,15 +55,17 @@ class CompileOutcome:
     opt_level: OptimizationLevel
     machine_bits: int = 64
     success: bool = False
-    module: IRModule | None = None
+    #: The produced module: an ``IRModule`` for mini-C, a ``WhileModule``
+    #: for WHILE.  Shared read-only by every outcome that replays one record.
+    module: object | None = None
     crash: InternalCompilerError | None = None
     rejected: str | None = None  # legitimate frontend rejection message
     coverage: CoverageRecorder = field(default_factory=CoverageRecorder)
     triggered_faults: list[str] = field(default_factory=list)
     compile_effort: int = 0
-    #: Content sha of ``str(module)``, stamped when the compiler already knows
-    #: it (the pipeline-cache paths): lets the oracle's VM-result cache key a
-    #: run without re-rendering the module text.  ``None`` on legacy paths.
+    #: Content sha of ``str(module)``, stamped by every compile that produced
+    #: a module: lets the oracle's VM-result cache key a run without
+    #: re-rendering the module text.
     module_sha: str | None = None
     #: ``(pass name, violation)`` when the between-pass IR verifier caught a
     #: broken invariant (only populated when :attr:`Compiler.verify_ir` is
@@ -154,35 +159,54 @@ class PipelineCache:
 #: Sentinel distinguishing "memo not computed" from a computed ``None``.
 _UNSET = object()
 
-#: Budget of a run of produced code on its interpreting tier before it is
-#: restarted in generated Python: the closure VM's here
-#: (:mod:`repro.compiler.codegen`), the WHILE interpreter's in
-#: :meth:`repro.lang.compile.WhileCompiler.run` (:mod:`repro.lang.codegen`).
-#: Campaign runs of both languages stop within ~100 steps or exhaust the
-#: budget, so any value from ~1,000 to ~20,000 selects the same runs.  The
-#: restart is exact because both interpreting tiers are deterministic and a
-#: run's only output is its result.
+#: Budget of a run of produced code on its interpreting tier before
+#: :meth:`CompileDriver.run` restarts it in its generated tier: mini-C runs
+#: move from the closure VM to :mod:`repro.compiler.codegen`, WHILE runs
+#: from the WHILE interpreter to :mod:`repro.lang.codegen`.  Campaign runs
+#: of both languages stop within ~100 steps or exhaust the budget, so any
+#: value from ~1,000 to ~20,000 selects the same runs.  The restart is exact
+#: because both interpreting tiers are deterministic and a run's only output
+#: is its result.
 TIER_UP_STEPS = 4_000
 
 
-class Compiler:
-    """A simulated compiler binary: one version at one optimization level."""
+class CompileDriver(abc.ABC):
+    """A simulated compiler binary: one version at one optimization level.
+
+    Owns the compile flow of every language once: outcome and fault-set
+    set-up, frontend checks with memoised verdicts, the
+    :class:`PipelineCache` get, record, put and replay, crash and rejection
+    capture, and the tier-up rule of :meth:`run`.  A language subclass
+    (:class:`Compiler` for mini-C, :class:`repro.lang.compile.WhileCompiler`
+    for WHILE) supplies only its language: :meth:`_parse` with its
+    :attr:`rejection_types`, its :attr:`frontend_checks`, the
+    pre-optimization module and its cache key (:meth:`_pre_optimization`),
+    the optimization pipeline (:meth:`_optimize`) and the two execution
+    tiers of produced code (:meth:`_interpret` and :meth:`_generated`).
+    """
+
+    #: Exceptions meaning the language rejects the program: captured as
+    #: :attr:`CompileOutcome.rejected`, never raised.
+    rejection_types: tuple[type[Exception], ...] = (CompilationError,)
+    #: ``(fault id, check)`` for each seeded frontend fault, in checking
+    #: order.  A check is a pure function of the program that returns the
+    #: crash detail, or ``None`` when the fault does not fire.
+    frontend_checks: tuple[tuple[str, Callable[[object], str | None]], ...] = ()
 
     def __init__(
         self,
         version: str | CompilerVersion = "reference",
         opt_level: OptimizationLevel | int = OptimizationLevel.O2,
         machine_bits: int = 64,
+        # Above the oracle's reference-interpreter budget (200k): a program
+        # the reference completes must never time out in the produced code
+        # unless a seeded fault really changed it.
         vm_max_steps: int = 500_000,
     ) -> None:
         self.version = get_version(version) if isinstance(version, str) else version
         self.opt_level = OptimizationLevel(int(opt_level))
         self.machine_bits = machine_bits
         self.vm_max_steps = vm_max_steps
-        # Shared across compilations: passes are stateless (all per-run state
-        # lives in the PassContext) and Fault objects are immutable -- only
-        # the FaultSet's ``triggered`` list is per-compilation.
-        self._pipeline = build_pass_pipeline(self.opt_level)
         self._fault_dict = {fault.id: fault for fault in self.version.faults}
         #: Optional campaign-scoped :class:`PipelineCache`; when wired (the
         #: harness does this for every executor of its oracle matrix),
@@ -190,82 +214,43 @@ class Compiler:
         self.pipeline_cache: PipelineCache | None = None
         #: Run the between-pass IR verifier (:mod:`repro.compiler.verify`)
         #: during the pass pipeline.  Off by default -- the oracle switches
-        #: it on under the campaign's ``verify_ir`` policy; with it off the
-        #: driver's behaviour is bit-for-bit the pre-verifier behaviour.
+        #: it on under the campaign's ``verify_ir`` policy.  Only mini-C has
+        #: an IR to verify; WHILE accepts the flag and ignores it.
         self.verify_ir = False
-
-    def _fresh_faults(self) -> FaultSet:
-        return FaultSet(faults=self._fault_dict, opt_level=int(self.opt_level))
 
     # -- compilation -------------------------------------------------------------
 
     def compile_source(self, source: str, name: str = "<source>") -> CompileOutcome:
-        """Compile C source text; never raises for crashes (they are captured)."""
+        """Compile program text; crashes and rejections are captured, never raised.
 
-        def build(faults: FaultSet) -> IRModule:
-            unit = parse(source)
-            resolve(unit)
-            self._frontend_checks(unit, faults)
-            return lower_module(unit)
-
-        return self._compile(name, build)
-
-    def compile_unit(self, unit: ast.TranslationUnit, name: str = "<unit>") -> CompileOutcome:
-        """Compile an already-parsed *and resolved* translation unit.
-
-        Skips the textual frontend entirely: no render, no re-lex, no
-        re-parse, no re-resolve.  The unit's identifier ``decl``/``ctype``
-        links must be up to date (fresh from :func:`repro.minic.symbols.
-        resolve` or maintained by ``Skeleton.bind``).
+        The frontend verdicts and the pre-optimization module live in a memo
+        private to this call, and no :attr:`pipeline_cache` is consulted.
         """
-
-        def build(faults: FaultSet) -> IRModule:
-            self._frontend_checks(unit, faults)
-            return lower_module(unit)
-
-        return self._compile(name, build)
+        return self._compile(name, source, None)
 
     def compile_variant(self, variant: BoundVariant, name: str = "<variant>") -> CompileOutcome:
-        """Compile a bound variant, sharing one lowering across the oracle matrix.
+        """Compile a bound variant, sharing work across the oracle matrix.
 
-        The variant's AST is rebound in O(holes); the lowered IR is computed
-        once per variant (memoised on ``variant.cache``) and *cloned* per
-        configuration so each pass pipeline mutates a private copy.  The
-        per-configuration order of effects matches :meth:`compile_source`:
-        frontend fault checks run before lowering is consulted, so a
-        frontend crash masks a lowering rejection exactly as in the textual
-        path.
-
-        With a :attr:`pipeline_cache` wired, the pass-pipeline run is keyed
-        on the opt level, machine bits, verify flag and the content sha of
-        the pre-optimization lowered module, and replayed from cache for any
-        version whose fault set answers the recorded run's fault queries
-        the same way (see :class:`PipelineCache`).  Frontend fault verdicts
-        and the lowered module's sha are additionally memoised per variant,
-        and at ``-O0`` (empty pipeline) the shared lowered module is used
-        directly -- no passes can mutate it, so no private clone is needed.
-        All of it is observationally identical to the uncached path.
+        The variant's AST is rebound in O(holes) -- no render, no re-parse.
+        Frontend verdicts and the pre-optimization module are memoised on
+        ``variant.cache``, so every configuration reuses them.  With a
+        :attr:`pipeline_cache` wired, the pipeline run is looked up under
+        the language's key and replayed for any version whose fault set
+        answers the recorded run's fault queries the same way (see
+        :class:`PipelineCache`).  Observationally identical to
+        :meth:`compile_source` of the variant's text.
         """
-        cache = self.pipeline_cache
-        if cache is None:
+        return self._compile(name, None, variant)
 
-            def build(faults: FaultSet) -> IRModule:
-                unit = variant.program
-                self._frontend_checks(unit, faults)
-                return self._lowered_clone(variant, unit)
-
-            return self._compile(name, build)
-        return self._compile_variant_cached(variant, name, cache)
-
-    def _compile_variant_cached(
-        self, variant: BoundVariant, name: str, cache: PipelineCache
+    def _compile(
+        self, name: str, source: str | None, variant: BoundVariant | None
     ) -> CompileOutcome:
-        """The pipeline-dedup fast path of :meth:`compile_variant`.
+        """The one compile flow: ``source`` text, or else ``variant``.
 
-        Frontend checks run before the cached region and ill-formed-IR
-        attribution after it, both per configuration: neither is part of
-        a record, so a record serves every version that answers its
-        transcript alike.
+        Frontend checks run before the pre-optimization module is consulted
+        (a frontend crash masks a lowering rejection), and ill-formed-IR
+        attribution after the pipeline: neither is part of a record, so a
+        record serves every version that answers its transcript alike.
         """
         outcome = CompileOutcome(
             source_name=name,
@@ -273,18 +258,20 @@ class Compiler:
             opt_level=self.opt_level,
             machine_bits=self.machine_bits,
         )
-        faults = self._fresh_faults()
+        faults = FaultSet(faults=self._fault_dict, opt_level=int(self.opt_level))
+        cache = None if variant is None else self.pipeline_cache
         try:
-            unit = variant.program
-            self._frontend_checks_variant(variant, unit, faults)
-            lowered = self._lowered_cached(variant, unit)
-            lowered_sha = self._lowered_sha(variant, lowered)
-            verify = self.verify_ir and bool(self._pipeline)
-            key = (int(self.opt_level), self.machine_bits, verify, lowered_sha)
-            record = cache.get(key, faults)
+            if variant is None:
+                program, memo = self._parse(source), {}
+            else:
+                program, memo = variant.program, variant.cache
+            self._frontend_checks(program, faults, memo, outcome.coverage)
+            module, sha, key = self._pre_optimization(program, memo, variant)
+            record = None if cache is None else cache.get(key, faults)
             if record is None:
-                record = self._run_pipeline_recorded(lowered, lowered_sha, faults, outcome)
-                cache.put(key, record)
+                record = self._run_pipeline_recorded(module, sha, faults, outcome)
+                if cache is not None:
+                    cache.put(key, record)
             else:
                 for event, count in record.coverage:
                     outcome.coverage.record(event, count)
@@ -300,165 +287,97 @@ class Compiler:
             outcome.success = True
         except InternalCompilerError as crash:
             outcome.crash = crash
-        except (MiniCError, CompilationError) as rejection:
+        except self.rejection_types as rejection:
             outcome.rejected = str(rejection)
         outcome.triggered_faults = list(dict.fromkeys(faults.triggered))
         return outcome
 
-    def _run_pipeline_recorded(
-        self,
-        lowered: IRModule,
-        lowered_sha: str,
-        faults: FaultSet,
-        outcome: CompileOutcome,
-    ) -> PipelineRecord:
-        """Run the pass pipeline once and capture its effects as a record.
+    def _frontend_checks(
+        self, program, faults: FaultSet, memo: dict, coverage: CoverageRecorder
+    ) -> None:
+        """Crash on the first armed frontend fault whose check fires.
 
-        An empty pipeline (``-O0``) cannot mutate the module, so the shared
-        lowered module is used directly (its text -- and therefore its sha --
-        is the lowered sha); otherwise the pipeline runs on a private clone
-        whose rendered text is hashed once for the VM-result cache.
+        The fault set only gates whether a verdict fires, so each verdict is
+        computed once per memo -- once per variant -- and replayed for every
+        configuration: same crashes, same details, same order.
+        """
+        for fault_id, check in self.frontend_checks:
+            if faults.active(fault_id):
+                detail = memo.get(fault_id, _UNSET)
+                if detail is _UNSET:
+                    detail = memo[fault_id] = check(program)
+                if detail is not None:
+                    faults.crash(fault_id, detail=detail)
+
+    def _run_pipeline_recorded(
+        self, module, sha: str, faults: FaultSet, outcome: CompileOutcome
+    ) -> PipelineRecord:
+        """Run the pipeline once on ``module`` and capture its effects as a record.
+
+        The record holds only the events recorded after the frontend's (a
+        pipeline records no frontend event), so a replay does not count a
+        frontend event twice.  A pipeline that returns ``module`` itself
+        (mini-C's empty ``-O0`` pipeline) reuses its sha; any other
+        optimized module is rendered and hashed once, for the VM-result
+        cache.
         """
         base = len(faults.triggered)
-        module = clone_module(lowered) if self._pipeline else lowered
-        crash: tuple[str, str] | None = None
+        mark = len(outcome.coverage.counts)
+        optimized = crash = module_sha = None
         faults.transcript = {}
         try:
-            self._run_pipeline(module, faults, outcome)
+            optimized = self._optimize(module, faults, outcome)
         except InternalCompilerError as error:
             crash = (error.fault_id, error.detail)
         transcript = tuple(faults.transcript.items())
         faults.transcript = None
-        triggered = tuple(dict.fromkeys(faults.triggered[base:]))
-        coverage = tuple(outcome.coverage.counts.items())
-        if crash is not None:
-            return PipelineRecord(
-                None, None, crash, triggered, coverage, outcome.compile_effort, transcript
-            )
-        if module is lowered:
-            module_sha = lowered_sha
-        else:
-            module_sha = hashlib.sha256(str(module).encode()).hexdigest()
+        if crash is None:
+            module_sha = sha
+            if optimized is not module:
+                module_sha = hashlib.sha256(str(optimized).encode()).hexdigest()
         return PipelineRecord(
-            module,
+            optimized,
             module_sha,
-            None,
-            triggered,
-            coverage,
+            crash,
+            tuple(dict.fromkeys(faults.triggered[base:])),
+            tuple(outcome.coverage.counts.items())[mark:],
             outcome.compile_effort,
             transcript,
             outcome.ill_formed,
         )
 
-    def _compile(self, name: str, build_module) -> CompileOutcome:
-        """Shared scaffolding: run ``build_module`` + the pass pipeline,
-        capturing crashes and rejections into the outcome."""
-        outcome = CompileOutcome(
-            source_name=name,
-            version=self.version.name,
-            opt_level=self.opt_level,
-            machine_bits=self.machine_bits,
-        )
-        faults = self._fresh_faults()
-        try:
-            module = build_module(faults)
-            self._run_pipeline(module, faults, outcome)
-            if outcome.ill_formed is not None:
-                self._attribute_ill_formed(outcome.ill_formed[0], faults)
-            outcome.module = module
-            outcome.success = True
-        except InternalCompilerError as crash:
-            outcome.crash = crash
-        except (MiniCError, CompilationError) as rejection:
-            outcome.rejected = str(rejection)
-        outcome.triggered_faults = list(dict.fromkeys(faults.triggered))
-        return outcome
+    def _attribute_ill_formed(self, pass_name: str, faults: FaultSet) -> None:
+        """Mark this version's ill-formed-IR faults of ``pass_name`` triggered.
 
-    @staticmethod
-    def _lowered_cached(variant: BoundVariant, unit: ast.TranslationUnit) -> IRModule:
-        """The variant's lowered IR, computed once and shared read-only.
-
-        A lowering rejection is memoised too (as the exception) so every
-        configuration reports the identical rejection string.
+        Ill-formed-IR faults deliberately stay silent inside the passes (so
+        verification-off campaigns remain byte-identical); the verifier is
+        the observer, so once it has stopped the pipeline after
+        ``pass_name`` every matching seeded fault is marked triggered --
+        which gives the filed bug its component/priority metadata and a
+        stable triggered-faults dedup key.  Runs outside the cached region:
+        it reads the version's fault definitions, not the run's queries.
         """
-        cached = variant.cache.get("lowered_ir")
-        if cached is None:
-            try:
-                cached = lower_module(unit)
-            except CompilationError as error:
-                cached = error
-            variant.cache["lowered_ir"] = cached
-        if isinstance(cached, CompilationError):
-            raise cached
-        return cached
-
-    @staticmethod
-    def _lowered_clone(variant: BoundVariant, unit: ast.TranslationUnit) -> IRModule:
-        """The variant's lowered IR: computed once, cloned per configuration."""
-        return clone_module(Compiler._lowered_cached(variant, unit))
-
-    @staticmethod
-    def _lowered_sha(variant: BoundVariant, lowered: IRModule) -> str:
-        """Content sha of the lowered module text, rendered once per variant."""
-        sha = variant.cache.get("lowered_sha")
-        if sha is None:
-            sha = hashlib.sha256(str(lowered).encode()).hexdigest()
-            variant.cache["lowered_sha"] = sha
-        return sha
-
-    def _frontend_checks_variant(
-        self, variant: BoundVariant, unit: ast.TranslationUnit, faults: FaultSet
-    ) -> None:
-        """:meth:`_frontend_checks` with per-variant verdict memoisation.
-
-        The three frontend checks are pure functions of the unit (the fault
-        set only gates whether a verdict *fires*), so their verdicts are
-        computed once per variant and replayed for every configuration whose
-        fault set activates them -- same crashes, same detail strings, in the
-        same order as the unmemoised walk.
-        """
-        memo = variant.cache
-        if faults.active("frontend-identical-arms"):
-            detail = memo.get("fe_identical_arms", _UNSET)
-            if detail is _UNSET:
-                detail = None
-                for node in unit.walk():
-                    if isinstance(node, ast.Conditional):
-                        if expr_to_source(node.then_expr) == expr_to_source(node.else_expr):
-                            detail = f"'{expr_to_source(node.then_expr)}'"
-                            break
-                memo["fe_identical_arms"] = detail
-            if detail is not None:
-                faults.crash("frontend-identical-arms", detail=detail)
-        if faults.active("frontend-nested-conditional-depth"):
-            depth = memo.get("fe_conditional_depth")
-            if depth is None:
-                depth = memo["fe_conditional_depth"] = self._max_conditional_depth(unit)
-            if depth >= 3:
-                faults.crash("frontend-nested-conditional-depth")
-        if faults.active("frontend-goto-into-scope"):
-            detail = memo.get("fe_goto_into_scope", _UNSET)
-            if detail is _UNSET:
-                detail = memo["fe_goto_into_scope"] = self._first_goto_into_scope(unit)
-            if detail is not None:
-                faults.crash("frontend-goto-into-scope", detail=detail)
+        for fault in self._fault_dict.values():
+            if (
+                fault.kind is FaultKind.ILL_FORMED_IR
+                and fault.pass_name == pass_name
+                and fault.active_at(int(self.opt_level))
+            ):
+                faults.trigger(fault.id)
 
     # -- execution ----------------------------------------------------------------
 
     def run(self, outcome: CompileOutcome, entry: str = "main") -> ExecutionResult:
-        """Execute the compiled module on the closure VM; a run that reaches
-        :data:`TIER_UP_STEPS` restarts in the generated tier at the full budget."""
+        """Execute the produced module; a run that reaches
+        :data:`TIER_UP_STEPS` on the interpreting tier restarts in the
+        generated tier at the full budget."""
         if not outcome.success or outcome.module is None:
             return ExecutionResult(ExecutionStatus.ERROR, detail="compilation did not succeed")
         budget = self.vm_max_steps
-        result = VirtualMachine(outcome.module, max_steps=min(budget, TIER_UP_STEPS)).run(entry)
+        result = self._interpret(outcome.module, entry, min(budget, TIER_UP_STEPS))
         if budget <= TIER_UP_STEPS or result.status is not ExecutionStatus.TIMEOUT:
             return result
-        # Loaded by the first tier-up: processes whose runs all stop early,
-        # WHILE campaigns among them, never compile the generated tier.
-        from repro.compiler.codegen import GeneratedModule
-
-        return GeneratedModule(outcome.module).run(entry, budget)
+        return self._generated(outcome.module, entry, budget)
 
     def compile_and_run(
         self, source: str, name: str = "<source>", entry: str = "main"
@@ -469,9 +388,142 @@ class Compiler:
             return outcome, None
         return outcome, self.run(outcome, entry=entry)
 
-    # -- internals ------------------------------------------------------------------
+    # -- language hooks -----------------------------------------------------------------
 
-    def _run_pipeline(self, module: IRModule, faults: FaultSet, outcome: CompileOutcome) -> None:
+    @abc.abstractmethod
+    def _parse(self, source: str):
+        """Parse program text; raises one of :attr:`rejection_types`."""
+
+    @abc.abstractmethod
+    def _pre_optimization(
+        self, program, memo: dict, variant: BoundVariant | None
+    ) -> tuple[object, str, tuple]:
+        """``(module, content sha of its text, pipeline-cache key)``.
+
+        The module is what the pipeline starts from; it is memoised in
+        ``memo`` and shared, so the pipeline must not mutate it.
+        """
+
+    @abc.abstractmethod
+    def _optimize(self, module, faults: FaultSet, outcome: CompileOutcome):
+        """Run the pipeline on ``module``; return the optimized module.
+
+        Records the pipeline's coverage, compile effort and (mini-C only)
+        verifier verdict on ``outcome``; a crash raises.
+        """
+
+    @abc.abstractmethod
+    def _interpret(self, module, entry: str, budget: int) -> ExecutionResult:
+        """Run the produced module on the interpreting tier."""
+
+    @abc.abstractmethod
+    def _generated(self, module, entry: str, budget: int) -> ExecutionResult:
+        """Run the produced module on the generated tier."""
+
+
+def _identical_arms(unit: ast.TranslationUnit) -> str | None:
+    for node in unit.walk():
+        if isinstance(node, ast.Conditional):
+            if expr_to_source(node.then_expr) == expr_to_source(node.else_expr):
+                return f"'{expr_to_source(node.then_expr)}'"
+    return None
+
+
+def _conditional_depth(node: ast.Node) -> int:
+    best = 0
+    for child in node.children():
+        best = max(best, _conditional_depth(child))
+    return best + 1 if isinstance(node, ast.Conditional) else best
+
+
+def _deep_conditional(unit: ast.TranslationUnit) -> str | None:
+    return "" if _conditional_depth(unit) >= 3 else None
+
+
+def _goto_into_scope(unit: ast.TranslationUnit) -> str | None:
+    """Detail string of the first goto-into-scope violation, if any."""
+    for function in unit.functions():
+        gotos = [node for node in function.walk() if isinstance(node, ast.Goto)]
+        if not gotos:
+            continue
+        for block in function.walk():
+            if not isinstance(block, ast.Block) or block is function.body:
+                continue
+            has_decls = any(isinstance(item, ast.DeclStmt) for item in block.items)
+            if not has_decls:
+                continue
+            labels = {
+                node.name for node in block.walk() if isinstance(node, ast.Label)
+            }
+            gotos_inside = {
+                id(node) for node in block.walk() if isinstance(node, ast.Goto)
+            }
+            for goto in gotos:
+                if goto.label in labels and id(goto) not in gotos_inside:
+                    return f"label {goto.label!r}"
+    return None
+
+
+class Compiler(CompileDriver):
+    """The mini-C compiler: parse + resolve, frontend checks, lowering to IR,
+    the pass pipeline of the ``-O`` level, and the closure VM with its
+    generated tier for the produced code."""
+
+    rejection_types = (MiniCError, CompilationError)
+    frontend_checks = (
+        ("frontend-identical-arms", _identical_arms),
+        ("frontend-nested-conditional-depth", _deep_conditional),
+        ("frontend-goto-into-scope", _goto_into_scope),
+    )
+
+    def __init__(
+        self,
+        version: str | CompilerVersion = "reference",
+        opt_level: OptimizationLevel | int = OptimizationLevel.O2,
+        machine_bits: int = 64,
+        vm_max_steps: int = 500_000,
+    ) -> None:
+        super().__init__(version, opt_level, machine_bits, vm_max_steps)
+        # Shared across compilations: passes are stateless (all per-run state
+        # lives in the PassContext) and Fault objects are immutable -- only
+        # the FaultSet's ``triggered`` list is per-compilation.
+        self._pipeline = build_pass_pipeline(self.opt_level)
+
+    def _parse(self, source: str) -> ast.TranslationUnit:
+        unit = parse(source)
+        resolve(unit)
+        return unit
+
+    def _pre_optimization(
+        self, unit: ast.TranslationUnit, memo: dict, variant: BoundVariant | None
+    ) -> tuple[IRModule, str, tuple]:
+        """The lowered IR, computed and rendered once per memo.
+
+        A lowering rejection is memoised too (as the exception) so every
+        configuration reports the identical rejection string.  The key is
+        ``(opt level, machine bits, verify flag, lowered sha)``: the
+        verifier stops the pipeline at its first violation, so verified and
+        unverified runs are kept apart.
+        """
+        lowered = memo.get("lowered_ir")
+        if lowered is None:
+            try:
+                lowered = lower_module(unit)
+            except CompilationError as error:
+                lowered = error
+            memo["lowered_ir"] = lowered
+        if isinstance(lowered, CompilationError):
+            raise lowered
+        sha = memo.get("lowered_sha")
+        if sha is None:
+            sha = memo["lowered_sha"] = hashlib.sha256(str(lowered).encode()).hexdigest()
+        verify = self.verify_ir and bool(self._pipeline)
+        return lowered, sha, (int(self.opt_level), self.machine_bits, verify, sha)
+
+    def _optimize(self, lowered: IRModule, faults: FaultSet, outcome: CompileOutcome) -> IRModule:
+        """Run the passes on a private clone; an empty (``-O0``) pipeline
+        cannot mutate the shared lowered module, so it runs on it directly."""
+        module = clone_module(lowered) if self._pipeline else lowered
         context = PassContext(
             module=module,
             coverage=outcome.coverage,
@@ -502,90 +554,24 @@ class Compiler:
                         outcome.compile_effort = sum(
                             context.statistics.values()
                         ) + instruction_count(module)
-                        return
+                        return module
         outcome.compile_effort = sum(context.statistics.values()) + instruction_count(module)
+        return module
 
-    def _attribute_ill_formed(self, pass_name: str, faults: FaultSet) -> None:
-        """Mark this version's ill-formed-IR faults of ``pass_name`` triggered.
+    def _interpret(self, module: IRModule, entry: str, budget: int) -> ExecutionResult:
+        return VirtualMachine(module, max_steps=budget).run(entry)
 
-        Ill-formed-IR faults deliberately stay silent inside the passes (so
-        verification-off campaigns remain byte-identical); the verifier is
-        the observer, so once it has stopped the pipeline after
-        ``pass_name`` every matching seeded fault is marked triggered --
-        which gives the filed bug its component/priority metadata and a
-        stable triggered-faults dedup key.  Runs outside the cached region:
-        it reads the version's fault definitions, not the run's queries.
-        """
-        for fault in self._fault_dict.values():
-            if (
-                fault.kind is FaultKind.ILL_FORMED_IR
-                and fault.pass_name == pass_name
-                and fault.active_at(int(self.opt_level))
-            ):
-                faults.trigger(fault.id)
+    def _generated(self, module: IRModule, entry: str, budget: int) -> ExecutionResult:
+        # Loaded by the first tier-up: processes whose runs all stop early,
+        # WHILE campaigns among them, never compile the generated tier.
+        from repro.compiler.codegen import GeneratedModule
 
-    # -- frontend seeded faults --------------------------------------------------------
-
-    def _frontend_checks(self, unit: ast.TranslationUnit, faults: FaultSet) -> None:
-        if faults.active("frontend-identical-arms"):
-            for node in unit.walk():
-                if isinstance(node, ast.Conditional):
-                    if expr_to_source(node.then_expr) == expr_to_source(node.else_expr):
-                        faults.crash(
-                            "frontend-identical-arms",
-                            detail=f"'{expr_to_source(node.then_expr)}'",
-                        )
-        if faults.active("frontend-nested-conditional-depth"):
-            if self._max_conditional_depth(unit) >= 3:
-                faults.crash("frontend-nested-conditional-depth")
-        if faults.active("frontend-goto-into-scope"):
-            self._check_goto_into_scope(unit, faults)
-
-    @staticmethod
-    def _max_conditional_depth(unit: ast.TranslationUnit) -> int:
-        def depth(node: ast.Node) -> int:
-            best = 0
-            for child in node.children():
-                best = max(best, depth(child))
-            if isinstance(node, ast.Conditional):
-                return best + 1
-            return best
-
-        return depth(unit)
-
-    @staticmethod
-    def _check_goto_into_scope(unit: ast.TranslationUnit, faults: FaultSet) -> None:
-        detail = Compiler._first_goto_into_scope(unit)
-        if detail is not None:
-            faults.crash("frontend-goto-into-scope", detail=detail)
-
-    @staticmethod
-    def _first_goto_into_scope(unit: ast.TranslationUnit) -> str | None:
-        """Detail string of the first goto-into-scope violation, if any."""
-        for function in unit.functions():
-            gotos = [node for node in function.walk() if isinstance(node, ast.Goto)]
-            if not gotos:
-                continue
-            for block in function.walk():
-                if not isinstance(block, ast.Block) or block is function.body:
-                    continue
-                has_decls = any(isinstance(item, ast.DeclStmt) for item in block.items)
-                if not has_decls:
-                    continue
-                labels = {
-                    node.name for node in block.walk() if isinstance(node, ast.Label)
-                }
-                gotos_inside = {
-                    id(node) for node in block.walk() if isinstance(node, ast.Goto)
-                }
-                for goto in gotos:
-                    if goto.label in labels and id(goto) not in gotos_inside:
-                        return f"label {goto.label!r}"
-        return None
+        return GeneratedModule(module).run(entry, budget)
 
 
 __all__ = [
     "CompilationError",
+    "CompileDriver",
     "CompileOutcome",
     "Compiler",
     "InternalCompilerError",

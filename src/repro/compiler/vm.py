@@ -15,7 +15,7 @@ traversal.  A closure returns ``None`` to fall through, a label string to
 jump, or a ``("return", value)`` pair.
 
 This closure VM is the executable specification of IR semantics and the
-tier every run starts in.  ``Compiler.run`` caps its budget at a tier-up
+tier every run starts in.  ``CompileDriver.run`` caps its budget at a tier-up
 threshold and restarts only the runs that reach it in generated Python
 (:mod:`repro.compiler.codegen`); the semantics both tiers share (memory
 cells and their checks, pointer arithmetic, the operators the generated

@@ -19,9 +19,11 @@ A frontend packages everything the pipeline needs from a language:
 * **the executor pair** -- :meth:`Frontend.executor` builds the simulated
   compiler-under-test for one ``(version, opt level, machine bits)``
   configuration; the fault-free :attr:`Frontend.reference_version` of the
-  same executor is the oracle's performance baseline.  Executors follow the
-  :class:`repro.compiler.driver.Compiler` surface: ``compile_source``,
-  ``compile_variant``, ``run`` and ``vm_max_steps``;
+  same executor is the oracle's performance baseline.  Executors subclass
+  :class:`repro.compiler.driver.CompileDriver`, which owns the compile
+  flow, the pipeline cache and the tier-up rule behind ``compile_source``,
+  ``compile_variant``, ``run`` and ``vm_max_steps``; the subclass supplies
+  the language's hooks;
 * **reduction** -- shrink a bug-triggering program while a predicate holds.
   Frontends additionally opt into the triage engine's chunked ddmin reducer
   (:mod:`repro.triage.reduce`) through the *deletion-candidate hooks*:
@@ -154,10 +156,10 @@ class Frontend(abc.ABC):
     ):
         """Build the simulated compiler for one configuration.
 
-        The returned object follows the :class:`repro.compiler.driver.
-        Compiler` surface (``compile_source`` / ``compile_variant`` / ``run``
-        / ``vm_max_steps``); passing :attr:`reference_version` yields the
-        fault-free reference member of the executor pair.
+        The returned object is a :class:`repro.compiler.driver.
+        CompileDriver` subclass (``compile_source`` / ``compile_variant`` /
+        ``run`` / ``vm_max_steps``); passing :attr:`reference_version`
+        yields the fault-free reference member of the executor pair.
         """
 
     # -- reduction ----------------------------------------------------------

@@ -509,9 +509,10 @@ def compile_program_runner(program: WhileNode) -> WhileSkeletonRunner | None:
 
     This is the oracle-side twin of :func:`compile_skeleton_runner`, under
     the same exactness contract with the interpreter.
-    :meth:`repro.lang.compile.WhileCompiler.run` calls it only for an
-    optimized program whose run outlived
-    :data:`~repro.compiler.driver.TIER_UP_STEPS` on the interpreter.  Call
+    :meth:`repro.compiler.driver.CompileDriver.run` calls it, through
+    ``WhileCompiler._generated``, only for an optimized program whose run
+    outlived :data:`~repro.compiler.driver.TIER_UP_STEPS` on the
+    interpreter.  Call
     ``run(())`` -- the vector argument is ignored.  ``None`` when the
     program is outside the subset or nests too deep for CPython.
     """

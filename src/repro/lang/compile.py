@@ -3,16 +3,20 @@
 The paper's campaign methodology needs *two* executors per language: a
 trusted reference (for WHILE, the direct interpreter of
 :mod:`repro.lang.interp`) and a compiler under test whose produced code can
-disagree with it.  :class:`WhileCompiler` plays the second role the same way
-:class:`repro.compiler.driver.Compiler` does for mini-C:
+disagree with it.  :class:`WhileCompiler` plays the second role.  Like
+mini-C's :class:`repro.compiler.driver.Compiler` it is a subclass of
+:class:`repro.compiler.driver.CompileDriver`, which owns the compile flow,
+the pipeline cache's replay and the tier-up rule of ``run``; this module
+supplies the WHILE hooks:
 
 1. parse (or accept an already-bound skeleton AST -- the parse-once path);
 2. frontend checks (seeded frontend faults);
 3. an optimization pipeline over the immutable WHILE AST -- constant
    folding, self-comparison folding, dead-branch elimination, ``skip``
    elision -- gated by the ``-O`` level, with pass-level seeded faults;
-4. on request, execution of the *optimized* program on the interpreter to
-   observe the produced "binary"'s behaviour.
+4. the two execution tiers of the *optimized* program: the interpreter,
+   and :func:`repro.lang.codegen.compile_program_runner` for a run that
+   outlives :data:`repro.compiler.driver.TIER_UP_STEPS`.
 
 Compiler versions form the ``wc`` lineage (registered with
 :func:`repro.compiler.versions.register_lineage`), mirroring the scc/lcc
@@ -31,11 +35,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.compiler.driver import TIER_UP_STEPS, CompileOutcome, PipelineCache, PipelineRecord
-from repro.compiler.errors import CompilationError, InternalCompilerError
+from repro.compiler.driver import CompileDriver, CompileOutcome
 from repro.compiler.faults import Fault, FaultKind, FaultSet
-from repro.compiler.pipeline import OptimizationLevel
-from repro.compiler.versions import CompilerVersion, get_version, register_lineage
+from repro.compiler.versions import register_lineage
 from repro.core.execution import ExecutionResult, ExecutionStatus
 from repro.core.holes import BoundVariant
 from repro.lang.ast import (
@@ -126,25 +128,18 @@ register_lineage("wc", WC_ORDER, WC_BUG_CATALOGUE)
 #: self-assignment (the performance fault's compile-time blow-up).
 _BLOWUP_RERUNS = 120
 
-#: Sentinel distinguishing "memo not computed" from a computed ``None``.
-_UNSET = object()
-
 
 @dataclass
 class WhileModule:
     """The "binary" a WHILE compilation produces: the optimized program.
 
-    ``str()`` renders the optimized source -- the differential oracle uses it
-    as the key for sharing execution results between configurations that
-    produced identical modules.
+    ``str()`` renders the optimized source once: the pipeline record hashes
+    it for the VM-result cache, and every outcome that replays the record
+    shares this module (the optimizer rebuilds, see the module docstring,
+    so the program never changes after compilation).
     """
 
-    name: str
     program: WhileNode
-    # Rendered-source memo: the oracle stringifies the module once per
-    # configuration for its result-sharing cache key, and the program is
-    # never mutated after compilation (the optimizer rebuilds, see module
-    # docstring), so rendering once is safe.
     _source: str | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
@@ -173,249 +168,62 @@ def execute_while(program: WhileNode, max_steps: int = 100_000) -> ExecutionResu
     return ExecutionResult(ExecutionStatus.OK, exit_code=0, stdout=stdout)
 
 
-class WhileCompiler:
-    """A simulated WHILE compiler binary: one version at one optimization level.
+def _duplicate_branches(program: WhileNode) -> str | None:
+    for node in program.walk():
+        if isinstance(node, If) and to_source(node.then_branch) == to_source(node.else_branch):
+            return f"'{to_source(node.then_branch).strip()}'"
+    return None
 
-    Mirrors the surface of :class:`repro.compiler.driver.Compiler` (the
-    frontend-protocol executor contract): ``compile_source``,
-    ``compile_variant``, ``run`` and ``vm_max_steps``.
-    """
 
-    def __init__(
-        self,
-        version: str | CompilerVersion = "reference",
-        opt_level: OptimizationLevel | int = OptimizationLevel.O2,
-        machine_bits: int = 64,
-        # Above the oracle's reference-interpreter budget (200k), like the
-        # mini-C VM: a program the reference completes must never time out
-        # in the produced code unless a seeded fault really changed it.
-        vm_max_steps: int = 500_000,
-    ) -> None:
-        self.version = get_version(version) if isinstance(version, str) else version
-        self.opt_level = OptimizationLevel(int(opt_level))
-        self.machine_bits = machine_bits
-        self.vm_max_steps = vm_max_steps
-        self._fault_dict = {fault.id: fault for fault in self.version.faults}
-        #: Optional campaign-scoped pipeline-outcome cache, mirroring
-        #: :attr:`repro.compiler.driver.Compiler.pipeline_cache`.
-        self.pipeline_cache: PipelineCache | None = None
-        #: Mirrors :attr:`repro.compiler.driver.Compiler.verify_ir` so the
-        #: oracle can set the policy uniformly; WHILE compiles by rewriting
-        #: its own AST (no three-address IR), so there is nothing to verify
-        #: and the flag is accepted but inert.
-        self.verify_ir = False
+class WhileCompiler(CompileDriver):
+    """The WHILE compiler: the language hooks of
+    :class:`repro.compiler.driver.CompileDriver`, which owns the compile
+    flow, the pipeline cache's replay and the tier-up rule of ``run``."""
 
-    def _fresh_faults(self) -> FaultSet:
-        return FaultSet(faults=self._fault_dict, opt_level=int(self.opt_level))
+    rejection_types = (ParseError, LexerError)
+    frontend_checks = (("wfrontend-dup-branches", _duplicate_branches),)
 
-    # -- compilation -------------------------------------------------------------
+    def _parse(self, source: str) -> WhileNode:
+        return parse_program(source)
 
-    def compile_source(self, source: str, name: str = "<while>") -> CompileOutcome:
-        """Compile WHILE source text; crashes are captured, never raised."""
+    def _frontend_checks(self, program, faults, memo, coverage) -> None:
+        coverage.record("wfrontend.program")
+        super()._frontend_checks(program, faults, memo, coverage)
 
-        def build(faults: FaultSet, outcome: CompileOutcome) -> WhileModule:
-            try:
-                program = parse_program(source)
-            except (ParseError, LexerError) as error:
-                raise CompilationError(str(error)) from None
-            return self._build_module(program, name, faults, outcome)
+    def _pre_optimization(
+        self, program: WhileNode, memo: dict, variant: BoundVariant | None
+    ) -> tuple[WhileNode, str, tuple]:
+        """The bound program, keyed on the content sha of its text.
 
-        return self._compile(name, build)
-
-    def compile_variant(self, variant: BoundVariant, name: str = "<variant>") -> CompileOutcome:
-        """Compile a bound variant through the parse-once fast path.
-
-        The variant's program is the skeleton's shared AST rebound in
-        O(holes); no render or re-parse happens.  The optimizer rebuilds its
-        output, so the produced module stays valid after the next rebind.
-
-        With a :attr:`pipeline_cache` wired, the fold pipeline is keyed on
-        the opt level, machine bits and the content sha of the variant's
-        rendered source (the printer is injective on programs, so equal
-        text means equal pre-opt AST), and any version whose fault set
-        answers the recorded run's fault queries the same way replays its
-        optimized program, crash, triggered faults and effort -- see
-        :class:`repro.compiler.driver.PipelineCache`.  WHILE has nothing to
-        verify, so the verify flag is not part of the key.  Observationally
-        identical to the uncached path.
+        The printer is injective on programs, so equal text means an equal
+        pre-optimization AST.  A variant's text is its memoised
+        ``variant.source``.  WHILE has nothing to verify, so the key carries
+        no verify flag: ``(opt level, machine bits, source sha)``.
         """
-        cache = self.pipeline_cache
-        if cache is None:
+        sha = memo.get("while_source_sha")
+        if sha is None:
+            text = to_source(program) if variant is None else variant.source
+            sha = memo["while_source_sha"] = hashlib.sha256(text.encode()).hexdigest()
+        return program, sha, (int(self.opt_level), self.machine_bits, sha)
 
-            def build(faults: FaultSet, outcome: CompileOutcome) -> WhileModule:
-                return self._build_module(variant.program, name, faults, outcome)
+    def _interpret(self, module: WhileModule, entry: str, budget: int) -> ExecutionResult:
+        return execute_while(module.program, max_steps=budget)
 
-            return self._compile(name, build)
-        return self._compile_variant_cached(variant, name, cache)
-
-    def _compile_variant_cached(
-        self, variant: BoundVariant, name: str, cache: PipelineCache
-    ) -> CompileOutcome:
-        """The pipeline-dedup fast path of :meth:`compile_variant`."""
-        outcome = CompileOutcome(
-            source_name=name,
-            version=self.version.name,
-            opt_level=self.opt_level,
-            machine_bits=self.machine_bits,
-        )
-        faults = self._fresh_faults()
-        try:
-            program = variant.program
-            self._frontend_checks_variant(variant, program, faults, outcome)
-            sha = variant.cache.get("while_source_sha")
-            if sha is None:
-                sha = hashlib.sha256(variant.source.encode()).hexdigest()
-                variant.cache["while_source_sha"] = sha
-            key = (int(self.opt_level), self.machine_bits, sha)
-            record = cache.get(key, faults)
-            if record is None:
-                record = self._run_pipeline_recorded(program, faults)
-                cache.put(key, record)
-            else:
-                faults.triggered.extend(record.triggered)
-            outcome.compile_effort = record.compile_effort
-            if record.crash is not None:
-                faults.crash(*record.crash)
-            # A fresh wrapper per outcome (the record's module is shared and
-            # carries no caller name); program and rendered source are reused.
-            template = record.module
-            outcome.module = WhileModule(
-                name=name, program=template.program, _source=str(template)
-            )
-            outcome.module_sha = record.module_sha
-            outcome.success = True
-        except InternalCompilerError as crash:
-            outcome.crash = crash
-        except CompilationError as rejection:
-            outcome.rejected = str(rejection)
-        outcome.triggered_faults = list(dict.fromkeys(faults.triggered))
-        return outcome
-
-    def _run_pipeline_recorded(self, program: WhileNode, faults: FaultSet) -> PipelineRecord:
-        """Run the fold pipeline once and capture its effects as a record.
-
-        The WHILE pipeline records no coverage (only the frontend check
-        does, and that runs outside the cached region per configuration),
-        so the record's coverage tuple is empty.  A crash leaves the effort
-        at 0, exactly like the legacy path where the effort assignment in
-        ``_build_module`` is never reached.
-        """
-        base = len(faults.triggered)
-        effort = [0]
-        crash: tuple[str, str] | None = None
-        optimized: WhileNode | None = None
-        faults.transcript = {}
-        try:
-            optimized = self._run_pipeline(program, faults, effort)
-        except InternalCompilerError as error:
-            crash = (error.fault_id, error.detail)
-        transcript = tuple(faults.transcript.items())
-        faults.transcript = None
-        triggered = tuple(dict.fromkeys(faults.triggered[base:]))
-        if crash is not None:
-            return PipelineRecord(None, None, crash, triggered, (), 0, transcript)
-        module = WhileModule(name="<module>", program=optimized)
-        module_sha = hashlib.sha256(str(module).encode()).hexdigest()
-        return PipelineRecord(module, module_sha, None, triggered, (), effort[0], transcript)
-
-    def _frontend_checks_variant(
-        self, variant: BoundVariant, program: WhileNode, faults: FaultSet, outcome: CompileOutcome
-    ) -> None:
-        """:meth:`_frontend_checks` with a per-variant verdict memo.
-
-        The dup-branches verdict is a pure function of the program (the
-        fault set only gates whether it fires), so the walk -- and its
-        ``to_source`` renders -- run once per variant instead of once per
-        configuration.
-        """
-        outcome.coverage.record("wfrontend.program")
-        if faults.active("wfrontend-dup-branches"):
-            detail = variant.cache.get("wfe_dup_branches", _UNSET)
-            if detail is _UNSET:
-                detail = None
-                for node in program.walk():
-                    if isinstance(node, If) and to_source(node.then_branch) == to_source(
-                        node.else_branch
-                    ):
-                        detail = f"'{to_source(node.then_branch).strip()}'"
-                        break
-                variant.cache["wfe_dup_branches"] = detail
-            if detail is not None:
-                faults.crash("wfrontend-dup-branches", detail=detail)
-
-    def _compile(self, name: str, build_module) -> CompileOutcome:
-        outcome = CompileOutcome(
-            source_name=name,
-            version=self.version.name,
-            opt_level=self.opt_level,
-            machine_bits=self.machine_bits,
-        )
-        faults = self._fresh_faults()
-        try:
-            outcome.module = build_module(faults, outcome)
-            outcome.success = True
-        except InternalCompilerError as crash:
-            outcome.crash = crash
-        except CompilationError as rejection:
-            outcome.rejected = str(rejection)
-        outcome.triggered_faults = list(dict.fromkeys(faults.triggered))
-        return outcome
-
-    def _build_module(
-        self, program: WhileNode, name: str, faults: FaultSet, outcome: CompileOutcome
-    ) -> WhileModule:
-        self._frontend_checks(program, faults, outcome)
-        effort = [0]
-        optimized = self._run_pipeline(program, faults, effort)
-        outcome.compile_effort = effort[0]
-        return WhileModule(name=name, program=optimized)
-
-    # -- execution ----------------------------------------------------------------
-
-    def run(self, outcome: CompileOutcome, entry: str = "main") -> ExecutionResult:
-        """Execute the optimized program on the interpreter; a run that
-        reaches :data:`~repro.compiler.driver.TIER_UP_STEPS` restarts in the
-        generated tier (:func:`repro.lang.codegen.compile_program_runner`)
-        at the full budget.
-
-        The restart is exact: the generated tier matches the interpreter at
-        every budget, and a run's only output is the result it returns.  A
-        program the tier cannot compile stays on the interpreter.
-        """
-        if not outcome.success or outcome.module is None:
-            return ExecutionResult(ExecutionStatus.ERROR, detail="compilation did not succeed")
-        program = outcome.module.program
-        budget = self.vm_max_steps
-        result = execute_while(program, max_steps=min(budget, TIER_UP_STEPS))
-        if budget <= TIER_UP_STEPS or result.status is not ExecutionStatus.TIMEOUT:
-            return result
-        runner = compile_program_runner(program)
+    def _generated(self, module: WhileModule, entry: str, budget: int) -> ExecutionResult:
+        """:func:`repro.lang.codegen.compile_program_runner`'s runner; a
+        program the tier cannot compile stays on the interpreter."""
+        runner = compile_program_runner(module.program)
         if runner is None:
-            return execute_while(program, max_steps=budget)
+            return execute_while(module.program, max_steps=budget)
         return runner.run((), max_steps=budget)
-
-    # -- frontend ------------------------------------------------------------------
-
-    def _frontend_checks(
-        self, program: WhileNode, faults: FaultSet, outcome: CompileOutcome
-    ) -> None:
-        outcome.coverage.record("wfrontend.program")
-        if faults.active("wfrontend-dup-branches"):
-            for node in program.walk():
-                if isinstance(node, If) and to_source(node.then_branch) == to_source(
-                    node.else_branch
-                ):
-                    faults.crash(
-                        "wfrontend-dup-branches",
-                        detail=f"'{to_source(node.then_branch).strip()}'",
-                    )
 
     # -- the optimization pipeline ----------------------------------------------------
 
-    def _run_pipeline(self, program: WhileNode, faults: FaultSet, effort: list[int]) -> WhileNode:
+    def _optimize(self, program: WhileNode, faults: FaultSet, outcome: CompileOutcome) -> WhileModule:
         """Fold to a fixpoint (bounded), honouring the opt level and faults.
 
-        At ``-O0`` the program is only rebuilt (no rewriting), like a real
+        Records no coverage; a crash leaves ``compile_effort`` at 0.  At
+        ``-O0`` the program is only rebuilt (no rewriting), like a real
         compiler's unoptimized pipeline.  The performance fault re-runs the
         whole pipeline per self-assignment, inflating ``compile_effort`` by
         orders of magnitude without changing the produced code.  The faulty
@@ -435,7 +243,7 @@ class WhileCompiler:
             faults.trigger("wopt-fixpoint-blowup")
             reruns = _BLOWUP_RERUNS
         optimize = int(self.opt_level) >= 1
-        base = effort[0]
+        effort = [0]
         result = program
         if not optimize:
             result = self._rebuild(result, effort)
@@ -451,9 +259,8 @@ class WhileCompiler:
                     result = folded
                     break
                 result = folded
-        if reruns > 1:
-            effort[0] += (reruns - 1) * (effort[0] - base)
-        return result
+        outcome.compile_effort = effort[0] * reruns
+        return WhileModule(result)
 
     def _rebuild(self, node: WhileNode, effort: list[int]) -> WhileNode:
         """Structure-preserving deep copy (no aliasing with the input AST)."""

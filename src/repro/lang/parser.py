@@ -1,20 +1,21 @@
 """Recursive-descent parser for the WHILE language.
 
-Concrete syntax (statement separators are semicolons; ``do`` and ``then``
-introduce either a single statement or a ``begin``-free braced-by-indentation
-form -- we simply use parentheses-free single statements or ``{ ... }``
-blocks for clarity)::
+Concrete syntax: statements are separated by semicolons, and the body after
+``do``, ``then`` or ``else`` is one statement or a parenthesised statement
+list.  Braces are not WHILE syntax: the lexer rejects ``{`` and ``}`` as
+unexpected characters::
 
-    program   := stmt_list
-    stmt_list := stmt (';' stmt)* [';']
+    program   := stmt_list [';']
+    stmt_list := stmt (';' stmt)*
     stmt      := 'skip'
                | ident ':=' aexpr
                | 'while' '(' bexpr ')' 'do' block
                | 'if' '(' bexpr ')' 'then' block 'else' block
-    block     := stmt | '{' stmt_list '}'
+    block     := stmt | '(' stmt_list ')'
     bexpr     := bterm ('or' bterm)*
     bterm     := bfactor ('and' bfactor)*
     bfactor   := 'true' | 'false' | 'not' bfactor | aexpr relop aexpr
+               | aexpr                  -- read as aexpr '!=' 0
                | '(' bexpr ')'          -- when it parses as a boolean
     aexpr     := term (('+'|'-') term)*
     term      := factor (('*'|'/') factor)*
@@ -88,7 +89,7 @@ class _Parser:
         statements = [self.parse_stmt()]
         while self.check("op", ";"):
             self.advance()
-            if self.check("eof") or self.check("op", "}"):
+            if self.check("eof"):
                 break
             statements.append(self.parse_stmt())
         if len(statements) == 1:
@@ -125,8 +126,6 @@ class _Parser:
         raise ParseError("expected a statement", self.peek())
 
     def parse_block(self) -> WhileNode:
-        if self.check("op", "{"):
-            raise ParseError("'{' blocks are not part of the WHILE syntax; use ';' sequences", self.peek())
         if self.check("op", "("):
             # Parenthesised statement groups: (S1 ; S2)
             self.advance()

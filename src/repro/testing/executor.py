@@ -182,9 +182,7 @@ class ProcessPoolExecutor:
 
     def map(self, fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> list[_Result]:
         items = list(items)
-        # A trivial map runs in-process -- unless sources were preloaded:
-        # items may reference them by sha, which only a worker resolves.
-        if not self._preloaded and (self.jobs <= 1 or len(items) <= 1):
+        if self.jobs <= 1 or len(items) <= 1:
             return SerialExecutor().map(fn, items)
         pool = self._ensure_pool()
         futures: list[concurrent.futures.Future] = []

@@ -21,6 +21,7 @@ from repro.compiler.versions import get_version, lineage_versions
 from repro.core.holes import BoundVariant
 from repro.core.spe import SkeletonEnumerator
 from repro.frontends import available_frontends, get_frontend
+from repro.lang.compile import WhileCompiler
 
 #: Both lineages crash on ``a - a`` in the folder, each with its own message.
 CRASH = "int a, b = 1; int main() { if (a) a = a - a; return b; }"
@@ -75,6 +76,17 @@ class TestSharedRecords:
         assert verified.ill_formed[0] == "simplify-cfg"
         assert "cfg-retain-garbage-block" in verified.triggered_faults
         assert "cfg-retain-garbage-block" not in unverified.triggered_faults
+
+    def test_while_key_ignores_the_verify_flag(self):
+        # WHILE has no IR to verify, so the flag must not split its runs.
+        variant = _variant("x := 1; y := x + 2", "while")
+        cache = PipelineCache()
+        for version, verify in (("wc-2.0", True), ("wc-trunk", False)):
+            compiler = WhileCompiler(version, 2)
+            compiler.pipeline_cache = cache
+            compiler.verify_ir = verify
+            assert compiler.compile_variant(variant).success, version
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_ill_formed_faults_attributed_per_version(self):
         variant = _variant(GARBAGE_BLOCK)
@@ -132,6 +144,13 @@ def _seed_variants(frontend, per_file=4):
     return specs
 
 
+def _text_sha(outcome):
+    """The content sha of the produced module, rendered from its text."""
+    if outcome.module is None:
+        return None
+    return hashlib.sha256(str(outcome.module).encode()).hexdigest()
+
+
 def _observable(outcome, sha):
     module = outcome.module
     return {
@@ -160,8 +179,13 @@ def test_cached_matrix_matches_uncached(frontend_name):
     cache = PipelineCache()
     cached_executors = {}
     uncached_executors = {}
+    text_executors = {}
     for version, level, verify in configs:
-        for executors, shared in ((cached_executors, cache), (uncached_executors, None)):
+        for executors, shared in (
+            (cached_executors, cache),
+            (uncached_executors, None),
+            (text_executors, None),
+        ):
             executor = frontend.executor(version, level)
             executor.verify_ir = verify
             executor.pipeline_cache = shared
@@ -175,15 +199,23 @@ def test_cached_matrix_matches_uncached(frontend_name):
         outcome = cached_executors[config].compile_variant(cached_variants[index])
         cached[index, config] = _observable(outcome, outcome.module_sha)
 
+    # Source text and bound variants go through one flow: compiling a
+    # variant's text gives what compiling the variant gives, coverage and
+    # compile effort included.
     uncached_variants = [BoundVariant(*spec) for spec in specs]
+    texts = 0
     for index, config in sorted(jobs, key=lambda job: job[0]):
-        outcome = uncached_executors[config].compile_variant(uncached_variants[index])
-        sha = None
-        if outcome.module is not None:
-            sha = hashlib.sha256(str(outcome.module).encode()).hexdigest()
-        assert cached[index, config] == _observable(outcome, sha), (specs[index], config)
+        variant = uncached_variants[index]
+        outcome = uncached_executors[config].compile_variant(variant)
+        expected = _observable(outcome, _text_sha(outcome))
+        assert cached[index, config] == expected, (specs[index], config)
+        if variant.order_clean:
+            texts += 1
+            text = text_executors[config].compile_source(variant.source)
+            assert _observable(text, _text_sha(text)) == expected, (specs[index], config)
     # The walk must have shared runs between versions, or it shows nothing.
     assert cache.hits > cache.misses
+    assert texts > 0
 
 
 def test_fault_attribution_has_no_unexplained_gap():
